@@ -1,7 +1,6 @@
 """Exact invariants, recognizers, codecs and a claim-checking harness for
 Konig-Egervary square-stable graphs."""
 
-from .cli import AnalysisRecord
 from .codec import Graph6Error, decode_graph6, encode_graph6, parse_edge_list
 from .families import GraphFamily, generate, tree_from_pruefer
 from .graphs import (DistanceMatrix, Edge, Graph, GraphError, VertexSet,
@@ -11,19 +10,7 @@ from .graphs import (DistanceMatrix, Edge, Graph, GraphError, VertexSet,
                      is_cycle_of_length, is_tree, pendant_edges,
                      pendant_vertices, square)
 from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_CLAIMS, Claim,
-                      TheoremVerdict, check_componentwise_square_stability,
-                      check_girth6_well_covered_equivalences,
-                      check_inequality_chain,
-                      check_ke_square_stable_characterization,
-                      check_pendant_matching_square_stability,
-                      check_square_ke_perfect_matching,
-                      check_square_simplicial_correspondence,
-                      check_square_stable_equivalences,
-                      check_square_stable_matching_bound,
-                      check_tree_well_covered_equivalences,
-                      check_very_well_covered_basics,
-                      check_vwc_pendant_characterization,
-                      reverify_counterexample, run_claim,
+                      TheoremVerdict, reverify_counterexample, run_claim,
                       run_negative_controls)
 from .invariants import (DEFAULT_BUDGET, BudgetExhausted, InvariantReport,
                          Matching, SolverBudget, alpha, core_set,

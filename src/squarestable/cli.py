@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .codec import Graph6Error, decode_graph6, encode_graph6, parse_edge_list
+from .codec import (Graph6Error, decode_graph6, encode_graph6, graph6_strings,
+                    parse_edge_list)
 from .families import GraphFamily, generate, parse_family_spec
 from .graphs import Graph, girth, square
 from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim,
@@ -68,12 +69,7 @@ def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
         g = parse_edge_list(text)
         yield encode_graph6(g), g
         return
-    for line in _read_lines(args.input):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):]
+    for line in graph6_strings(_read_lines(args.input)):
         yield line, decode_graph6(line)
 
 

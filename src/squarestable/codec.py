@@ -8,6 +8,8 @@ read column by column, packed six bits per byte with an offset of 63.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .graphs import Graph, build_graph
 
 _MAX_N = (1 << 36) - 1
@@ -21,6 +23,15 @@ class Graph6Error(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def graph6_strings(lines: Iterable[str]) -> Iterator[str]:
+    """The graph6 strings of a graph6 file's lines: surrounding whitespace
+    and any ``>>graph6<<`` header dropped, blank lines skipped."""
+    for line in lines:
+        line = line.strip()
+        if line:
+            yield line.removeprefix(">>graph6<<")
 
 
 def _check_chars(s: str, start: int = 0) -> None:

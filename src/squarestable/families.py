@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .codec import decode_graph6
+from .codec import decode_graph6, graph6_strings
 from .graphs import Graph, build_graph, is_connected
 
 
@@ -142,12 +142,7 @@ def _raw_stream(family: GraphFamily) -> Iterator[Graph]:
             for seq in product(range(family.n), repeat=family.n - 2):
                 yield tree_from_pruefer(seq, family.n)
     elif family.kind == "graph6":
-        for line in family.source:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">>graph6<<"):
-                line = line[len(">>graph6<<"):]
+        for line in graph6_strings(family.source):
             yield decode_graph6(line)
 
 

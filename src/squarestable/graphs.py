@@ -3,12 +3,12 @@
 Vertices are dense integer ids ``0 .. n-1``.  A :class:`Graph` is a value:
 equality and hashing go through ``(n, edge set)``, and every derived object
 (square, induced subgraph, component) is a fresh value, so graphs can be
-shared freely across threads and cached without defensive copies.
+shared freely across threads and cached without defensive copies.  Each graph
+stores its adjacency bitmasks once; the structural queries here run on them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -24,27 +24,34 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1`` with set semantics."""
+    """Simple undirected graph on vertices ``0 .. n-1`` with set semantics.
 
-    __slots__ = ("n", "edges", "_adj")
+    The adjacency bitmasks are the stored representation: bit ``u`` of
+    ``_masks[v]`` is set exactly when ``uv`` is an edge; neighbor sets are
+    derived from them.  ``_facts`` is a private memo for values
+    computed from the graph (see the claim harness); it never takes part in
+    equality or hashing.
+    """
+
+    __slots__ = ("n", "edges", "_masks", "_facts")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         norm = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             norm.add((u, v) if u < v else (v, u))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
@@ -53,13 +60,13 @@ class Graph:
         return range(self.n)
 
     def neighbors(self, v: int) -> VertexSet:
-        return self._adj[v]
+        return frozenset(_bits(self._masks[v]))
 
     def closed_neighborhood(self, v: int) -> VertexSet:
-        return self._adj[v] | {v}
+        return self.neighbors(v) | {v}
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -75,49 +82,76 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Set bits of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(masks: tuple[int, ...], seed: int) -> int:
+    """Mask of every vertex joined by a path to some vertex of ``seed``."""
+    seen = frontier = seed
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= masks[v]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
     """Construct a canonical :class:`Graph`; duplicate edges collapse silently."""
     return Graph(n, edge_list)
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """Neighborhoods as bitmasks, the working representation of the solvers."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Neighborhoods as bitmasks, the working representation of the solvers.
+
+    These are the graph's stored masks, an immutable tuple, not a copy.
+    """
+    return g._masks
 
 
 def distances(g: Graph) -> list[list[int | None]]:
     """All-pairs BFS distances in edges; ``None`` for unreachable pairs."""
     n = g.n
+    masks = g._masks
     out = []
     for s in range(n):
         row: list[int | None] = [None] * n
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            dx = row[x]
-            for y in g.neighbors(x):
-                if row[y] is None:
-                    row[y] = dx + 1
-                    queue.append(y)
+        seen = frontier = 1 << s
+        d = 0
+        while frontier:
+            step = 0
+            for v in _bits(frontier):
+                row[v] = d
+                step |= masks[v]
+            d += 1
+            frontier = step & ~seen
+            seen |= frontier
         out.append(row)
     return out
 
 
 def square(g: Graph) -> Graph:
     """Second power: same vertices, plus an edge for every distance-2 pair."""
-    extra = []
-    for v in range(g.n):
-        direct = g.neighbors(v)
-        for u in direct:
-            for w in g.neighbors(u):
-                if w > v and w not in direct:
-                    extra.append((v, w))
-    return Graph(g.n, list(g.edges) + extra)
+    masks = g._masks
+    edges = []
+    for v, m in enumerate(masks):
+        closure = m
+        for u in _bits(m):
+            closure |= masks[u]
+        w = v + 1
+        above = closure >> w
+        while above:
+            if above & 1:
+                edges.append((v, w))
+            above >>= 1
+            w += 1
+    return Graph(g.n, edges)
 
 
 def pendant_vertices(g: Graph) -> VertexSet:
@@ -133,9 +167,9 @@ def pendant_edges(g: Graph) -> frozenset[Edge]:
     pendant but contribute the same single edge.
     """
     out = set()
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            (w,) = g.neighbors(v)
+    for v, m in enumerate(g._masks):
+        if m.bit_count() == 1:
+            w = m.bit_length() - 1
             out.add((min(v, w), max(v, w)))
     return frozenset(out)
 
@@ -146,30 +180,26 @@ def girth(g: Graph) -> int | None:
     The acyclic case is an explicit sentinel rather than a large number so
     that threshold tests spell out how forests are meant to compare.
     """
+    masks = g._masks
     best: int | None = None
     for u, v in g.edges:
-        # shortest cycle through uv = dist(u, v) in G - uv, plus the edge
-        dist: dict[int, int] = {u: 0}
-        queue = deque([u])
-        found = None
-        while queue:
-            x = queue.popleft()
-            if best is not None and dist[x] + 1 >= best:
+        # shortest cycle through uv = dist(u, v) in G - uv, plus the edge;
+        # BFS layers from u stop once they cannot beat the best cycle
+        target = 1 << v
+        seen = frontier = 1 << u
+        d = 0
+        while frontier and (best is None or d + 2 < best):
+            step = 0
+            for x in _bits(frontier):
+                step |= masks[x]
+            if d == 0:
+                step &= ~target
+            d += 1
+            if step & target:
+                best = d + 1
                 break
-            for y in g.neighbors(x):
-                if x == u and y == v:
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == v:
-                        found = dist[y] + 1
-                        queue.clear()
-                        break
-                    queue.append(y)
-            if found is not None:
-                break
-        if found is not None and (best is None or found < best):
-            best = found
+            frontier = step & ~seen
+            seen |= frontier
     return best
 
 
@@ -186,7 +216,12 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
     pos = {old: new for new, old in enumerate(old_ids)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    keep_mask = 0
+    for v in old_ids:
+        keep_mask |= 1 << v
+    masks = g._masks
+    edges = [(new, pos[u]) for new, v in enumerate(old_ids)
+             for u in _bits(masks[v] & keep_mask) if u > v]
     return Graph(len(old_ids), edges), old_ids
 
 
@@ -196,28 +231,18 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     Components are ordered by their smallest original vertex, and each map
     sends new id ``i`` to ``map[i]`` in the parent graph.
     """
-    seen = [False] * g.n
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        out.append(induced_subgraph(g, comp))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _reach(g._masks, rest & -rest)
+        out.append(induced_subgraph(g, _bits(comp)))
+        rest &= ~comp
     return out
 
 
 def is_connected(g: Graph) -> bool:
     """True for graphs with at most one vertex or a single component."""
-    return len(components(g)) <= 1
+    return g.n <= 1 or _reach(g._masks, 1) == (1 << g.n) - 1
 
 
 def is_tree(g: Graph) -> bool:
@@ -228,8 +253,8 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]
     """Induced subgraph on ``V - N[v]`` with its relabeling map."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-    keep = [u for u in range(g.n) if u != v and u not in g.neighbors(v)]
-    return induced_subgraph(g, keep)
+    keep = ((1 << g.n) - 1) & ~(g._masks[v] | 1 << v)
+    return induced_subgraph(g, _bits(keep))
 
 
 def is_cycle_of_length(g: Graph, k: int) -> bool:

@@ -23,8 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 from .codec import decode_graph6, encode_graph6
 from .families import GraphFamily, generate
-from .graphs import (Graph, distances, girth_at_least, is_connected,
-                     is_cycle_of_length, is_tree, pendant_edges, square)
+from .graphs import (Graph, components, delete_closed_neighborhood, distances,
+                     girth_at_least, is_connected, is_cycle_of_length, is_tree,
+                     pendant_edges, square)
 from .invariants import (DEFAULT_BUDGET, BudgetExhausted, SolverBudget, alpha,
                          count_perfect_matchings, core_set, gamma, ind_dom,
                          mu, omega_family, simplexes, simplicial_vertices, theta)
@@ -75,37 +76,49 @@ class Claim:
 
 
 # ---------------------------------------------------------------------------
-# shared condition helpers (definition-level, no recognizer shortcuts)
+# per-graph facts (definition-level, no recognizer shortcuts)
 
 
-def _alpha(g, budget):
-    return alpha(g, budget)[0]
+_MISSING = object()
 
 
-def _theta(g, budget):
-    return theta(g, budget)[0]
+def _fact(g: Graph, name: str, budget: SolverBudget):
+    """Fact ``name`` of g, computed once per Graph object from its definition.
+
+    The value is kept in the graph's private memo, so it lives and dies with
+    the graph being evaluated.  A solver that runs out of budget raises
+    through here and leaves nothing behind: a skip stays a skip.  A memoized
+    value is exact, so it answers under any budget.
+    """
+    memo = g._facts
+    value = memo.get(name, _MISSING)
+    if value is _MISSING:
+        value = memo[name] = _FACTS[name](g, budget)
+    return value
 
 
-def _wc(g, budget):
-    return is_well_covered(g, budget)[0]
-
-
-def _ke(g, budget):
-    return _alpha(g, budget) + mu(g)[0] == g.n
-
-
-def _ss(g, budget):
-    return _alpha(g, budget) == _alpha(square(g), budget)
-
-
-def _vwc(g, budget):
-    return (all(g.degree(v) > 0 for v in range(g.n))
-            and g.n == 2 * _alpha(g, budget)
-            and _wc(g, budget))
-
-
-def _has_perfect_matching(g):
-    return 2 * mu(g)[0] == g.n
+#: How each fact is computed.  Facts made of other facts read them through
+#: :func:`_fact` and keep the short-circuit order of their definition, so a
+#: budget skip happens on the same graphs as when every value is recomputed.
+_FACTS: dict[str, Callable[[Graph, SolverBudget], object]] = {
+    "square": lambda g, budget: square(g),
+    "connected": lambda g, budget: is_connected(g),
+    "alpha": lambda g, budget: alpha(g, budget)[0],
+    "theta": lambda g, budget: theta(g, budget)[0],
+    "mu": lambda g, budget: mu(g)[0],
+    "wc": lambda g, budget: is_well_covered(g, budget)[0],
+    "core": lambda g, budget: core_set(g, budget),
+    "pendant_pm": lambda g, budget: has_pendant_perfect_matching(g),
+    "pendant_edge_count": lambda g, budget: len(pendant_edges(g)),
+    "ke": lambda g, budget: (_fact(g, "alpha", budget) + _fact(g, "mu", budget)
+                             == g.n),
+    "ss": lambda g, budget: (_fact(g, "alpha", budget)
+                             == _fact(_fact(g, "square", budget), "alpha", budget)),
+    "vwc": lambda g, budget: (all(g.degree(v) > 0 for v in range(g.n))
+                              and g.n == 2 * _fact(g, "alpha", budget)
+                              and _fact(g, "wc", budget)),
+    "perfect_matching": lambda g, budget: 2 * _fact(g, "mu", budget) == g.n,
+}
 
 
 def _distance3_omega_member_exists(g, budget) -> bool:
@@ -159,14 +172,14 @@ def _applies_nonempty(g, budget):
 
 
 def _violation_chain(g, budget):
-    sq = square(g)
+    sq = _fact(g, "square", budget)
     vals = {
-        "alpha_square": _alpha(sq, budget),
-        "theta_square": _theta(sq, budget),
+        "alpha_square": _fact(sq, "alpha", budget),
+        "theta_square": _fact(sq, "theta", budget),
         "gamma": gamma(g, budget)[0],
         "ind_dom": ind_dom(g, budget)[0],
-        "alpha": _alpha(g, budget),
-        "theta": _theta(g, budget),
+        "alpha": _fact(g, "alpha", budget),
+        "theta": _fact(g, "theta", budget),
     }
     chain = [vals["alpha_square"], vals["theta_square"], vals["gamma"],
              vals["ind_dom"], vals["alpha"], vals["theta"]]
@@ -176,15 +189,15 @@ def _violation_chain(g, budget):
 
 
 def _applies_connected(g, budget):
-    return g.n >= 1 and is_connected(g)
+    return g.n >= 1 and _fact(g, "connected", budget)
 
 
 def _violation_equivalences(g, budget):
-    sq = square(g)
-    a = _alpha(g, budget)
-    a2 = _alpha(sq, budget)
-    t = _theta(g, budget)
-    t2 = _theta(sq, budget)
+    sq = _fact(g, "square", budget)
+    a = _fact(g, "alpha", budget)
+    a2 = _fact(sq, "alpha", budget)
+    t = _fact(g, "theta", budget)
+    t2 = _fact(sq, "theta", budget)
     gam = gamma(g, budget)[0]
     ind = ind_dom(g, budget)[0]
     conditions = {
@@ -192,7 +205,8 @@ def _violation_equivalences(g, budget):
         "alpha_square_equal": a == a2,
         "theta_square_equal": t == t2,
         "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,
-        "simplicial_and_well_covered": is_simplicial_graph(g) and _wc(g, budget),
+        "simplicial_and_well_covered": (is_simplicial_graph(g)
+                                        and _fact(g, "wc", budget)),
         "distance3_maximum_stable_set": _distance3_omega_member_exists(g, budget),
     }
     return _equal_or_table(conditions, {
@@ -201,15 +215,15 @@ def _violation_equivalences(g, budget):
 
 
 def _applies_connected_square_stable(g, budget):
-    return g.n >= 1 and is_connected(g) and _ss(g, budget)
+    return g.n >= 1 and _fact(g, "connected", budget) and _fact(g, "ss", budget)
 
 
 def _violation_simplicial_correspondence(g, budget):
-    sq = square(g)
+    sq = _fact(g, "square", budget)
     omega_sq = omega_family(sq, budget)
     union = frozenset().union(*omega_sq) if omega_sq else frozenset()
     simp = simplicial_vertices(g)
-    core_sq = core_set(sq, budget)
+    core_sq = _fact(sq, "core", budget)
     lone = set()
     for s in simplexes(g, budget):
         owners = s & simp
@@ -229,16 +243,16 @@ def _violation_simplicial_correspondence(g, budget):
 
 
 def _applies_pendant_pm(g, budget):
-    return g.n >= 1 and has_pendant_perfect_matching(g) is not None
+    return g.n >= 1 and _fact(g, "pendant_pm", budget) is not None
 
 
 def _violation_pendant_matching(g, budget):
-    m = has_pendant_perfect_matching(g)
+    m = _fact(g, "pendant_pm", budget)
     assert m is not None
     expected = _expected_square_omega(g, m)
-    got = omega_family(square(g), budget)
+    got = omega_family(_fact(g, "square", budget), budget)
     conditions = {
-        "square_stable": _ss(g, budget),
+        "square_stable": _fact(g, "ss", budget),
         "square_omega_is_pendant_selections": got == expected,
     }
     if all(conditions.values()):
@@ -249,19 +263,19 @@ def _violation_pendant_matching(g, budget):
 
 
 def _applies_connected_ke(g, budget):
-    return g.n >= 2 and is_connected(g) and _ke(g, budget)
+    return g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget)
 
 
 def _violation_ke_characterization(g, budget):
-    a = _alpha(g, budget)
+    a = _fact(g, "alpha", budget)
     conditions = {
-        "square_stable": _ss(g, budget),
-        "pendant_perfect_matching": has_pendant_perfect_matching(g) is not None,
-        "vwc_with_alpha_pendants": (_vwc(g, budget)
-                                    and len(pendant_edges(g)) == a),
+        "square_stable": _fact(g, "ss", budget),
+        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
+        "vwc_with_alpha_pendants": (_fact(g, "vwc", budget)
+                                    and _fact(g, "pendant_edge_count", budget) == a),
     }
     return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": len(pendant_edges(g))})
+        "alpha": a, "pendant_edges": _fact(g, "pendant_edge_count", budget)})
 
 
 def _applies_tree(g, budget):
@@ -270,56 +284,60 @@ def _applies_tree(g, budget):
 
 def _violation_tree_equivalences(g, budget):
     conditions = {
-        "well_covered": _wc(g, budget),
-        "very_well_covered": _vwc(g, budget),
-        "pendant_perfect_matching": has_pendant_perfect_matching(g) is not None,
-        "square_stable": _ss(g, budget),
+        "well_covered": _fact(g, "wc", budget),
+        "very_well_covered": _fact(g, "vwc", budget),
+        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
+        "square_stable": _fact(g, "ss", budget),
     }
     return _equal_or_table(conditions)
 
 
 def _applies_connected_ss_n2(g, budget):
-    return g.n >= 2 and is_connected(g) and _ss(g, budget)
+    return g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ss", budget)
 
 
 def _violation_alpha_le_mu(g, budget):
-    a = _alpha(g, budget)
-    m = mu(g)[0]
+    a = _fact(g, "alpha", budget)
+    m = _fact(g, "mu", budget)
     if a <= m:
         return None
     return {"values": {"alpha": a, "mu": m}}
 
 
 def _applies_square_ke(g, budget):
-    return g.n >= 2 and is_connected(g) and _ke(square(g), budget)
+    return (g.n >= 2 and _fact(g, "connected", budget)
+            and _fact(_fact(g, "square", budget), "ke", budget))
 
 
 def _violation_square_ke(g, budget):
     conditions = {
-        "square_stable": _ss(g, budget),
-        "ke_with_perfect_matching": _ke(g, budget) and _has_perfect_matching(g),
+        "square_stable": _fact(g, "ss", budget),
+        "ke_with_perfect_matching": (_fact(g, "ke", budget)
+                                     and _fact(g, "perfect_matching", budget)),
     }
     return _equal_or_table(conditions, {
-        "alpha": _alpha(g, budget), "mu": mu(g)[0], "order": g.n})
+        "alpha": _fact(g, "alpha", budget), "mu": _fact(g, "mu", budget),
+        "order": g.n})
 
 
 def _applies_vwc_characterization(g, budget):
-    return (g.n >= 2 and is_connected(g)) or (g.n >= 1 and _ss(g, budget))
+    return ((g.n >= 2 and _fact(g, "connected", budget))
+            or (g.n >= 1 and _fact(g, "ss", budget)))
 
 
 def _violation_vwc_characterization(g, budget):
     details: dict = {"conditions": {}, "values": {}}
     bad = False
-    if g.n >= 2 and is_connected(g):
-        left = _ss(g, budget) and _vwc(g, budget)
-        right = (_ke(g, budget) and _has_perfect_matching(g)
-                 and len(pendant_edges(g)) == _alpha(g, budget))
+    if g.n >= 2 and _fact(g, "connected", budget):
+        left = _fact(g, "ss", budget) and _fact(g, "vwc", budget)
+        right = (_fact(g, "ke", budget) and _fact(g, "perfect_matching", budget)
+                 and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget))
         details["conditions"]["square_stable_and_vwc"] = left
         details["conditions"]["ke_pm_alpha_pendants"] = right
         bad = bad or left != right
-    if _ss(g, budget):
-        ke_g = _ke(g, budget)
-        ke_sq = _ke(square(g), budget)
+    if _fact(g, "ss", budget):
+        ke_g = _fact(g, "ke", budget)
+        ke_sq = _fact(_fact(g, "square", budget), "ke", budget)
         details["conditions"]["ke_base"] = ke_g
         details["conditions"]["ke_square"] = ke_sq
         bad = bad or ke_g != ke_sq
@@ -327,24 +345,24 @@ def _violation_vwc_characterization(g, budget):
 
 
 def _applies_girth6(g, budget):
-    return (g.n >= 2 and is_connected(g) and girth_at_least(g, 6)
+    return (g.n >= 2 and _fact(g, "connected", budget) and girth_at_least(g, 6)
             and not is_cycle_of_length(g, 7))
 
 
 def _violation_girth6(g, budget):
-    a = _alpha(g, budget)
+    a = _fact(g, "alpha", budget)
     conditions = {
-        "well_covered": _wc(g, budget),
-        "pendant_perfect_matching": has_pendant_perfect_matching(g) is not None,
-        "very_well_covered": _vwc(g, budget),
-        "ke_alpha_pendants_empty_core": (_ke(g, budget)
-                                         and len(pendant_edges(g)) == a
-                                         and not core_set(g, budget)),
-        "ke_and_square_stable": _ke(g, budget) and _ss(g, budget),
+        "well_covered": _fact(g, "wc", budget),
+        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
+        "very_well_covered": _fact(g, "vwc", budget),
+        "ke_alpha_pendants_empty_core": (_fact(g, "ke", budget)
+                                         and _fact(g, "pendant_edge_count", budget) == a
+                                         and not _fact(g, "core", budget)),
+        "ke_and_square_stable": _fact(g, "ke", budget) and _fact(g, "ss", budget),
     }
     return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": len(pendant_edges(g)),
-        "core": sorted(core_set(g, budget))})
+        "alpha": a, "pendant_edges": _fact(g, "pendant_edge_count", budget),
+        "core": sorted(_fact(g, "core", budget))})
 
 
 def _is_complete_graph(g):
@@ -356,9 +374,9 @@ def _applies_vwc_basics(g, budget):
         return False
     if all(g.degree(v) > 0 for v in range(g.n)):
         return True
-    if is_connected(g) and _ke(g, budget):
+    if _fact(g, "connected", budget) and _fact(g, "ke", budget):
         return True
-    return not _is_complete_graph(g) and _wc(g, budget)
+    return not _is_complete_graph(g) and _fact(g, "wc", budget)
 
 
 def _violation_vwc_basics(g, budget):
@@ -366,22 +384,21 @@ def _violation_vwc_basics(g, budget):
     values: dict = {}
     bad = False
     if g.n >= 2 and all(g.degree(v) > 0 for v in range(g.n)):
-        left = _vwc(g, budget)
-        right = _wc(g, budget) and _ke(g, budget)
+        left = _fact(g, "vwc", budget)
+        right = _fact(g, "wc", budget) and _fact(g, "ke", budget)
         conditions["vwc_equals_wc_and_ke"] = left == right
         bad = bad or left != right
-    if g.n >= 2 and is_connected(g) and _ke(g, budget):
-        eq = _wc(g, budget) == _vwc(g, budget)
+    if g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget):
+        eq = _fact(g, "wc", budget) == _fact(g, "vwc", budget)
         conditions["connected_ke_wc_equals_vwc"] = eq
         bad = bad or not eq
-    if g.n >= 2 and not _is_complete_graph(g) and _wc(g, budget):
-        from .graphs import delete_closed_neighborhood
-
-        a = _alpha(g, budget)
+    if g.n >= 2 and not _is_complete_graph(g) and _fact(g, "wc", budget):
+        a = _fact(g, "alpha", budget)
         all_good = True
         for v in range(g.n):
             h, _ = delete_closed_neighborhood(g, v)
-            if h.n < 1 or not _wc(h, budget) or _alpha(h, budget) != a - 1:
+            if (h.n < 1 or not _fact(h, "wc", budget)
+                    or _fact(h, "alpha", budget) != a - 1):
                 all_good = False
                 values["failing_vertex"] = v
                 break
@@ -396,14 +413,12 @@ def _violation_vwc_basics(g, budget):
 
 
 def _applies_disconnected(g, budget):
-    return g.n >= 1 and not is_connected(g)
+    return g.n >= 1 and not _fact(g, "connected", budget)
 
 
 def _violation_componentwise(g, budget):
-    from .graphs import components
-
-    whole = _ss(g, budget)
-    parts = all(_ss(comp, budget) for comp, _ in components(g))
+    whole = _fact(g, "ss", budget)
+    parts = all(_fact(comp, "ss", budget) for comp, _ in components(g))
     if whole == parts:
         return None
     return {"conditions": {"whole_square_stable": whole,
@@ -415,7 +430,7 @@ def _violation_componentwise(g, budget):
 
 
 def _applies_well_covered_only(g, budget):
-    return g.n >= 1 and _wc(g, budget)
+    return g.n >= 1 and _fact(g, "wc", budget)
 
 
 def _applies_unique_pm(g, budget):
@@ -423,25 +438,25 @@ def _applies_unique_pm(g, budget):
 
 
 def _applies_unique_square_omega(g, budget):
-    return g.n >= 1 and len(omega_family(square(g), budget)) == 1
+    return g.n >= 1 and len(omega_family(_fact(g, "square", budget), budget)) == 1
 
 
 def _applies_ke_alpha_pendants(g, budget):
-    return (g.n >= 2 and is_connected(g) and _ke(g, budget)
-            and len(pendant_edges(g)) == _alpha(g, budget))
+    return (g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget)
+            and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget))
 
 
 def _violation_not_square_stable(g, budget):
-    if _ss(g, budget):
+    if _fact(g, "ss", budget):
         return None
     return {"conditions": {"square_stable": False}}
 
 
 def _violation_not_ss_and_vwc(g, budget):
-    if _ss(g, budget) and _vwc(g, budget):
+    if _fact(g, "ss", budget) and _fact(g, "vwc", budget):
         return None
-    return {"conditions": {"square_stable": _ss(g, budget),
-                           "very_well_covered": _vwc(g, budget)}}
+    return {"conditions": {"square_stable": _fact(g, "ss", budget),
+                           "very_well_covered": _fact(g, "vwc", budget)}}
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +552,11 @@ CONTROL_FAMILIES: dict[str, tuple[GraphFamily, ...]] = {
 # engine
 
 
+#: Graphs per ``--jobs`` batch: small enough that every worker gets several
+#: batches of a labeled sweep, large enough to amortize the pickling.
+_BATCH_SIZE = 256
+
+
 def _families_tuple(family: GraphFamily | Sequence[GraphFamily]) -> tuple[GraphFamily, ...]:
     if isinstance(family, GraphFamily):
         return (family,)
@@ -594,7 +614,7 @@ def run_claim(
             bucket: list[str] = []
             for g in generate(fam):
                 bucket.append(encode_graph6(g))
-                if len(bucket) >= 2048:
+                if len(bucket) >= _BATCH_SIZE:
                     batches.append((name, tuple(bucket), budget))
                     bucket = []
             if bucket:
@@ -657,65 +677,3 @@ def run_negative_controls(
             kind="control",
         ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# one thin wrapper per checked statement
-
-
-def check_inequality_chain(family, budget=DEFAULT_BUDGET, jobs=1) -> TheoremVerdict:
-    return run_claim("inequality-chain", family, budget, jobs)
-
-
-def check_square_stable_equivalences(family, budget=DEFAULT_BUDGET, jobs=1) -> TheoremVerdict:
-    return run_claim("square-stable-equivalences", family, budget, jobs)
-
-
-def check_square_simplicial_correspondence(family, budget=DEFAULT_BUDGET,
-                                           jobs=1) -> TheoremVerdict:
-    return run_claim("square-simplicial-correspondence", family, budget, jobs)
-
-
-def check_pendant_matching_square_stability(family, budget=DEFAULT_BUDGET,
-                                            jobs=1) -> TheoremVerdict:
-    return run_claim("pendant-matching-implies-square-stable", family, budget, jobs)
-
-
-def check_ke_square_stable_characterization(family, budget=DEFAULT_BUDGET,
-                                            jobs=1) -> TheoremVerdict:
-    return run_claim("ke-square-stable-characterization", family, budget, jobs)
-
-
-def check_tree_well_covered_equivalences(family, budget=DEFAULT_BUDGET,
-                                         jobs=1) -> TheoremVerdict:
-    return run_claim("tree-well-covered-equivalences", family, budget, jobs)
-
-
-def check_square_stable_matching_bound(family, budget=DEFAULT_BUDGET,
-                                       jobs=1) -> TheoremVerdict:
-    return run_claim("square-stable-alpha-le-mu", family, budget, jobs)
-
-
-def check_square_ke_perfect_matching(family, budget=DEFAULT_BUDGET,
-                                     jobs=1) -> TheoremVerdict:
-    return run_claim("square-ke-perfect-matching", family, budget, jobs)
-
-
-def check_vwc_pendant_characterization(family, budget=DEFAULT_BUDGET,
-                                       jobs=1) -> TheoremVerdict:
-    return run_claim("vwc-pendant-characterization", family, budget, jobs)
-
-
-def check_girth6_well_covered_equivalences(family, budget=DEFAULT_BUDGET,
-                                           jobs=1) -> TheoremVerdict:
-    return run_claim("girth6-well-covered-equivalences", family, budget, jobs)
-
-
-def check_very_well_covered_basics(family, budget=DEFAULT_BUDGET,
-                                   jobs=1) -> TheoremVerdict:
-    return run_claim("very-well-covered-basics", family, budget, jobs)
-
-
-def check_componentwise_square_stability(family, budget=DEFAULT_BUDGET,
-                                         jobs=1) -> TheoremVerdict:
-    return run_claim("componentwise-square-stability", family, budget, jobs)

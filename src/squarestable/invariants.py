@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, VertexSet, adjacency_masks
+from .graphs import Graph, VertexSet, _bits, adjacency_masks
 from .graphs import girth as _girth
 
 Matching = frozenset[tuple[int, int]]
@@ -73,13 +73,6 @@ class _Meter:
             raise BudgetExhausted(self.operation, self.nodes)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask_to_set(mask: int) -> VertexSet:
     return frozenset(_bits(mask))
 
@@ -88,7 +81,7 @@ def _mask_to_set(mask: int) -> VertexSet:
 # stability number
 
 
-def _greedy_clique_cover_size(cand: int, adj: list[int]) -> int:
+def _greedy_clique_cover_size(cand: int, adj: tuple[int, ...]) -> int:
     """Greedy clique cover of the candidate set: an upper bound on how many
     further stable vertices the candidates can contribute."""
     cliques: list[int] = []
@@ -103,7 +96,7 @@ def _greedy_clique_cover_size(cand: int, adj: list[int]) -> int:
     return len(cliques)
 
 
-def _alpha_mask(adj: list[int], universe: int, meter: _Meter) -> tuple[int, int]:
+def _alpha_mask(adj: tuple[int, ...], universe: int, meter: _Meter) -> tuple[int, int]:
     """Exact maximum stable set inside ``universe`` as (size, mask).
 
     Branches on the smallest candidate vertex, include-branch first, and only
@@ -250,7 +243,7 @@ def mu(g: Graph) -> tuple[int, Matching]:
     fixed ascending scan order.
     """
     n = g.n
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
+    adj = [list(_bits(m)) for m in adjacency_masks(g)]
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))

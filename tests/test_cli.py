@@ -165,3 +165,23 @@ def test_analyze_edgelist_error_exit_2():
     code, _, err = run_cli(["analyze", "--format", "edgelist"], stdin="3 1\n0 9\n")
     assert code == 2
     assert "line 2" in err
+
+
+def test_module_run_writes_nothing_to_stderr():
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and "verify" in out
+    assert err == ""
+
+
+def test_graph6_header_line_is_skipped(tmp_path):
+    src = tmp_path / "header.g6"
+    src.write_text(">>graph6<<Ch\nC]\n")
+    code, out, _ = run_cli(["analyze", "--input", str(src)])
+    assert code == 0
+    assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["Ch", "C]"]
+
+    code, out, _ = run_cli(["verify", "--theorem", "inequality-chain",
+                            "--family", f"graph6:{src}"])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["graphs_seen"] == verdict["graphs_checked"] == 2

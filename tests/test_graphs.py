@@ -3,10 +3,12 @@ from hypothesis import given, settings
 
 from conftest import graphs
 from oracles import floyd_warshall_oracle, square_edges_oracle
-from squarestable.graphs import (GraphError, build_graph, components,
-                                 delete_closed_neighborhood, disjoint_union,
-                                 distances, girth, girth_at_least,
-                                 is_connected, is_cycle_of_length, is_tree,
+from squarestable.families import GraphFamily, generate
+from squarestable.graphs import (GraphError, adjacency_masks, build_graph,
+                                 components, delete_closed_neighborhood,
+                                 disjoint_union, distances, girth,
+                                 girth_at_least, is_connected,
+                                 is_cycle_of_length, is_tree, iter_vertex_pairs,
                                  pendant_edges, pendant_vertices, square)
 from squarestable.named_graphs import (complete, complete_bipartite, cycle,
                                        empty_graph, paw, path, star)
@@ -160,3 +162,56 @@ def test_adjacent_pendants_only_in_k2_components(g):
             if u < v and g.has_edge(u, v):
                 # the pair must form an isolated edge
                 assert g.neighbors(u) == {v} and g.neighbors(v) == {u}
+
+
+def _labeled_graphs(max_n):
+    for n in range(max_n + 1):
+        yield from generate(GraphFamily.exhaustive(n))
+
+
+def test_mask_routes_match_slow_routes_exhaustively():
+    # every labeled graph on at most 6 vertices: each mask-based query
+    # against a route built from the edge set or the distance matrix
+    for g in _labeled_graphs(6):
+        masks = [0] * g.n
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert adjacency_masks(g) == tuple(masks)
+        assert [g.neighbors(v) for v in g.vertices()] == nbrs
+        assert [g.degree(v) for v in g.vertices()] == [len(a) for a in nbrs]
+
+        comps = components(g)
+        assert is_connected(g) == (len(comps) <= 1)
+
+        d = distances(g)
+        assert square(g).edges == {(u, v) for u, v in iter_vertex_pairs(g.n)
+                                   if d[u][v] is not None and d[u][v] <= 2}
+
+        classes = sorted({tuple(v for v in range(g.n) if d[s][v] is not None)
+                          for s in range(g.n)})
+        assert [ids for _, ids in comps] == classes
+        for comp, ids in comps:
+            pos = {old: new for new, old in enumerate(ids)}
+            assert comp == build_graph(len(ids), [(pos[u], pos[v]) for u, v in g.edges
+                                                  if u in pos and v in pos])
+
+
+def test_distances_match_floyd_warshall_exhaustively():
+    for g in _labeled_graphs(5):
+        want = floyd_warshall_oracle(g)
+        got = distances(g)
+        assert got == [[None if x == float("inf") else x for x in row] for row in want]
+
+
+def test_girth_matches_networkx_exhaustively():
+    networkx = pytest.importorskip("networkx")
+    for g in _labeled_graphs(6):
+        ref = networkx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges)
+        want = networkx.girth(ref)
+        assert girth(g) == (None if want == float("inf") else want)

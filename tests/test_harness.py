@@ -3,7 +3,8 @@ import json
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily
 from squarestable.graphs import disjoint_union, is_cycle_of_length
-from squarestable.harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, Claim,
+from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
+                                  CONTROL_FAMILIES, Claim,
                                   _applies_connected_ke, _applies_girth6,
                                   _applies_pendant_pm, _applies_tree,
                                   _applies_unique_pm, _scan,
@@ -196,3 +197,43 @@ def test_verdict_json_shape():
                             "counterexample"]
     assert record["family"] == "exhaustive:3"
     assert record["kind"] == "theorem"
+
+
+def test_jobs_verdict_matches_serial_across_many_batches():
+    # five batches' worth of graphs that satisfy the control's hypothesis
+    # without refuting it, with refutations only in the later batches and
+    # the lexicographically least one placed last
+    filler = [encode_graph6(complete(n)) for n in (1, 2, 3)]
+    lines = [filler[i % 3] for i in range(5 * _BATCH_SIZE)]
+    refutations = sorted(encode_graph6(g) for g in (cycle(4), c4_with_two_pendants()))
+    lines[3 * _BATCH_SIZE + 7] = refutations[1]
+    lines[-1] = refutations[0]
+    fam = GraphFamily.graph6_lines(lines, label="batches")
+    name = "control-well-covered-implies-square-stable"
+    solo = run_claim(name, fam, jobs=1)
+    assert solo.counterexample["graph6"] == refutations[0]
+    assert solo.graphs_seen == solo.graphs_checked == len(lines)
+    assert run_claim(name, fam, jobs=2).to_json() == solo.to_json()
+
+
+def test_budget_skip_is_not_memoized():
+    tiny = SolverBudget(max_nodes=20, max_seconds=60.0)
+    for name in ("inequality-chain", "square-stable-alpha-le-mu"):
+        claim = CLAIMS[name]
+        g = comb(5)  # one graph object, evaluated again after each skip
+        for _ in range(2):
+            assert _scan(claim, [g], tiny)[:3] == (1, 0, 1), name
+        # the skip leaves the graph answerable in full under a larger budget
+        assert _scan(claim, [g], DEFAULT_BUDGET)[:3] == (1, 1, 0), name
+
+
+def test_memoized_facts_match_a_fresh_graph():
+    def evaluate(claim, g):
+        return claim.applies(g, DEFAULT_BUDGET) and claim.violation(g, DEFAULT_BUDGET)
+
+    # one object per graph, shared by every claim and evaluated twice
+    for g in list(GALLERY.values()) + [disjoint_union(path(2), cycle(4))]:
+        for name, claim in ALL_CLAIMS.items():
+            want = evaluate(claim, decode_graph6(encode_graph6(g)))
+            for _ in range(2):
+                assert evaluate(claim, g) == want, (name, encode_graph6(g))
