@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, adjacency_masks, build_graph
 
 _MAX_N = (1 << 36) - 1
 
@@ -52,19 +52,15 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        chars.append(chr(63 + value))
-    return head + "".join(chars)
+    # column col lists rows 0..col-1, row 0 first: the low col bits of col's
+    # adjacency mask reversed (the sentinel bit 1 << col keeps leading zeros)
+    masks = adjacency_masks(g)
+    bits = "".join([bin(masks[col] & ((1 << col) - 1) | 1 << col)[:2:-1]
+                    for col in range(1, n)])
+    pad = -len(bits) % 6
+    value = int(bits or "0", 2) << pad
+    return head + "".join([chr(63 + (value >> shift & 63))
+                           for shift in range(len(bits) + pad - 6, -1, -6)])
 
 
 def _decode_order(s: str) -> tuple[int, int]:

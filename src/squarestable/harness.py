@@ -434,7 +434,7 @@ def _applies_well_covered_only(g, budget):
 
 
 def _applies_unique_pm(g, budget):
-    return g.n >= 1 and count_perfect_matchings(g, limit=2) == 1
+    return g.n >= 1 and count_perfect_matchings(g, limit=2, budget=budget) == 1
 
 
 def _applies_unique_square_omega(g, budget):

@@ -195,10 +195,11 @@ def omega_family(
         raise ValueError("omega_family requires at least one vertex")
     if g.n > cap:
         raise ValueError(f"omega_family materializes only up to {cap} vertices, got {g.n}")
-    size, _ = alpha(g, budget)
+    # the maximum stable sets are the maximal ones of the largest size
     meter = _Meter("omega_family", budget)
-    fam = [_mask_to_set(m) for m in _maximal_stable_masks(g, meter)
-           if m.bit_count() == size]
+    masks = list(_maximal_stable_masks(g, meter))
+    size = max(m.bit_count() for m in masks)
+    fam = [_mask_to_set(m) for m in masks if m.bit_count() == size]
     fam.sort(key=sorted)
     return fam
 
@@ -327,7 +328,8 @@ def mu(g: Graph) -> tuple[int, Matching]:
     return len(edges), edges
 
 
-def count_perfect_matchings(g: Graph, limit: int | None = None) -> int:
+def count_perfect_matchings(g: Graph, limit: int | None = None,
+                            budget: SolverBudget = DEFAULT_BUDGET) -> int:
     """Number of perfect matchings, optionally stopping early at ``limit``."""
     n = g.n
     if n % 2:
@@ -336,10 +338,12 @@ def count_perfect_matchings(g: Graph, limit: int | None = None) -> int:
         return 1
     adj = adjacency_masks(g)
     full = (1 << n) - 1
+    meter = _Meter("count_perfect_matchings", budget)
     count = 0
 
     def rec(used: int) -> bool:
         nonlocal count
+        meter.tick()
         if used == full:
             count += 1
             return limit is not None and count >= limit
@@ -357,54 +361,89 @@ def count_perfect_matchings(g: Graph, limit: int | None = None) -> int:
 # clique cover number
 
 
+def _greedy_stable_size(cand: int, adj: tuple[int, ...]) -> int:
+    """Size of a stable set picked smallest id first from ``cand``: a lower
+    bound on the number of cliques needed to cover ``cand``."""
+    size = 0
+    while cand:
+        low = cand & -cand
+        cand &= ~(adj[low.bit_length() - 1] | low)
+        size += 1
+    return size
+
+
 def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[VertexSet, ...]]:
     """Exact clique cover number with a certifying partition into cliques.
 
     Computed as proper coloring of the complement by branch and bound:
     vertices are assigned in ascending id to an existing class (must stay a
-    clique of g) or to one fresh class.  The witness partition is returned in
-    canonical sorted form.
+    clique of g) or to one fresh class, and the incumbent is replaced only on
+    strict improvement.  A greedy stable set bounds the count from below, so
+    a greedy cover that meets it is returned without any search.  The witness
+    partition is returned in canonical sorted form.
     """
     if g.n < 1:
         raise ValueError("theta requires at least one vertex")
     n = g.n
     adj = adjacency_masks(g)
-    meter = _Meter("theta", budget)
 
-    # greedy first-fit cover gives the initial upper bound
+    # greedy first-fit cover gives the initial upper bound; each class keeps
+    # the mask of vertices adjacent to all of its members
     greedy: list[int] = []
+    common: list[int] = []
     for v in range(n):
-        for i, c in enumerate(greedy):
-            if adj[v] & c == c:
-                greedy[i] = c | (1 << v)
+        bit = 1 << v
+        for i, c in enumerate(common):
+            if c & bit:
+                greedy[i] |= bit
+                common[i] = c & adj[v]
                 break
         else:
-            greedy.append(1 << v)
+            greedy.append(bit)
+            common.append(adj[v])
+    lower = _greedy_stable_size((1 << n) - 1, adj)
     best_count = len(greedy)
-    best_cover = list(greedy)
+    best_cover = greedy
+    if best_count > lower:
+        meter = _Meter("theta", budget)
+        classes: list[int] = []
+        common = []
 
-    classes: list[int] = []
+        def walk(v: int, rest: int) -> bool:
+            """Extend the cover over the vertices ``rest`` (ids >= v); True
+            once the incumbent meets the lower bound and the search can stop."""
+            nonlocal best_count, best_cover
+            meter.tick()
+            # a vertex no open class can absorb needs a fresh class, so a
+            # stable set among such vertices needs one fresh class each
+            absorbable = 0
+            for c in common:
+                absorbable |= c
+            if len(classes) + _greedy_stable_size(rest & ~absorbable, adj) >= best_count:
+                return False
+            if v == n:
+                best_count = len(classes)
+                best_cover = list(classes)
+                return best_count == lower
+            bit = 1 << v
+            rest ^= bit
+            for i, c in enumerate(common):
+                if c & bit:
+                    classes[i] |= bit
+                    common[i] = c & adj[v]
+                    if walk(v + 1, rest):
+                        return True
+                    classes[i] ^= bit
+                    common[i] = c
+            classes.append(bit)
+            common.append(adj[v])
+            if walk(v + 1, rest):
+                return True
+            classes.pop()
+            common.pop()
+            return False
 
-    def walk(v: int) -> None:
-        nonlocal best_count, best_cover
-        meter.tick()
-        if len(classes) >= best_count:
-            return
-        if v == n:
-            best_count = len(classes)
-            best_cover = list(classes)
-            return
-        bit = 1 << v
-        for i, c in enumerate(classes):
-            if adj[v] & c == c:
-                classes[i] = c | bit
-                walk(v + 1)
-                classes[i] = c
-        classes.append(bit)
-        walk(v + 1)
-        classes.pop()
-
-    walk(0)
+        walk(0, (1 << n) - 1)
     cover = sorted((tuple(sorted(_bits(c))) for c in best_cover))
     return best_count, tuple(frozenset(c) for c in cover)
 
@@ -413,41 +452,46 @@ def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[V
 # domination
 
 
-def _gamma_value(closed: list[int], full: int, n: int, meter: _Meter,
+def _gamma_value(closed: list[int], full: int, meter: _Meter,
                  forced: int = 0, candidates_from: int = 0,
-                 stop_at: int | None = None) -> int | None:
+                 stop_at: int | None = None) -> tuple[int, int] | None:
     """Minimum size of a dominating set containing ``forced`` whose further
-    members all have id >= candidates_from.  ``stop_at`` turns the search into
-    a feasibility test: return that size as soon as it is met."""
-    best: int | None = None
+    members all have id >= candidates_from, with one such set as a mask.
+    ``stop_at`` turns the search into a feasibility test: return the first
+    set of at most that size.
+
+    Each node branches on the members of N[u] for the least undominated u;
+    the branch for v takes the sets containing v and none of the earlier
+    siblings, so no set is reached twice."""
+    best: tuple[int, int] | None = None
     start_dom = 0
     for v in _bits(forced):
         start_dom |= closed[v]
     max_cover = max((c.bit_count() for c in closed), default=1) or 1
 
-    def walk(dominated: int, chosen_count: int, min_next: int) -> None:
+    def walk(dominated: int, chosen: int, chosen_count: int, banned: int) -> bool:
+        """Search below one node; True once ``stop_at`` is met."""
         nonlocal best
         meter.tick()
         if dominated == full:
-            if best is None or chosen_count < best:
-                best = chosen_count
-            return
-        if best is not None and stop_at is not None and best <= stop_at:
-            return
+            if best is None or chosen_count < best[0]:
+                best = (chosen_count, chosen)
+            return stop_at is not None and best[0] <= stop_at
         remaining = (full & ~dominated).bit_count()
         lower = chosen_count + -(-remaining // max_cover)
-        if best is not None and lower >= best:
-            return
+        if best is not None and lower >= best[0]:
+            return False
         if stop_at is not None and lower > stop_at:
-            return
+            return False
         u = ((full & ~dominated) & -(full & ~dominated)).bit_length() - 1
         # every dominating set must cover u with something from N[u]
-        for v in _bits(closed[u]):
-            if v < min_next:
-                continue
-            walk(dominated | closed[v], chosen_count + 1, min_next)
+        for v in _bits(closed[u] & ~banned):
+            if walk(dominated | closed[v], chosen | 1 << v, chosen_count + 1, banned):
+                return True
+            banned |= 1 << v
+        return False
 
-    walk(start_dom, forced.bit_count(), candidates_from)
+    walk(start_dom, forced, forced.bit_count(), ((1 << candidates_from) - 1) | forced)
     return best
 
 
@@ -460,25 +504,27 @@ def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexS
     closed = [adjm[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     meter = _Meter("gamma", budget)
-    value = _gamma_value(closed, full, n, meter)
-    assert value is not None
+    found = _gamma_value(closed, full, meter)
+    assert found is not None
+    value, known = found
     # lexicographic fix pass: grow the witness smallest-vertex-first, keeping
-    # a completion of the optimal size reachable at every step
+    # a completion of the optimal size reachable at every step.  ``known`` is
+    # such a completion, so its least new member is feasible without a search
+    # and only the ids below it need one
     chosen = 0
-    chosen_count = 0
     next_candidate = 0
-    while chosen_count < value:
-        for v in range(next_candidate, n):
+    for _ in range(value):
+        rest = known & ~chosen
+        pick = (rest & -rest).bit_length() - 1
+        for v in range(next_candidate, pick):
             trial = chosen | (1 << v)
-            feasible = _gamma_value(closed, full, n, meter, forced=trial,
-                                    candidates_from=v + 1, stop_at=value)
-            if feasible is not None and feasible <= value:
-                chosen = trial
-                chosen_count += 1
-                next_candidate = v + 1
+            found = _gamma_value(closed, full, meter, forced=trial,
+                                 candidates_from=v + 1, stop_at=value)
+            if found is not None and found[0] <= value:
+                pick, known = v, found[1]
                 break
-        else:  # pragma: no cover - impossible for a correct solver
-            raise AssertionError("lexicographic completion failed")
+        chosen |= 1 << pick
+        next_candidate = pick + 1
     return value, _mask_to_set(chosen)
 
 

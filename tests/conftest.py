@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from squarestable.families import GraphFamily, generate
 from squarestable.graphs import Graph, build_graph, iter_vertex_pairs
 
 
@@ -31,3 +32,9 @@ def graphs(draw, min_n: int = 0, max_n: int = 8, connected: bool = False) -> Gra
             prev = anchor
         g = build_graph(n, set(g.edges) | set(extra))
     return g
+
+
+def labeled_graphs(max_n: int):
+    """Every labeled graph on 0..max_n vertices."""
+    for n in range(max_n + 1):
+        yield from generate(GraphFamily.exhaustive(n))

@@ -3,6 +3,10 @@
 Everything here scans subsets or partitions directly with itertools, sharing
 no code or algorithmic idea with the branch-and-bound / blossom /
 Bron-Kerbosch paths under test.  Exponential on purpose; keep inputs small.
+
+The one exception is :func:`theta_unpruned`, the clique-cover search as it
+ran before its bounds were added: the bounded search must return its value
+and witness exactly, in no more nodes.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from squarestable.graphs import Graph
+from squarestable.graphs import Graph, _bits, adjacency_masks
 
 
 def stable(g: Graph, vs) -> bool:
@@ -59,6 +63,16 @@ def ind_dom_oracle(g: Graph) -> int:
     return min(len(s) for s in maximal_stable_sets_oracle(g))
 
 
+def gamma_lex_oracle(g: Graph) -> tuple[int, frozenset[int]]:
+    """Lexicographically least minimum dominating set: combinations of each
+    size come out in lexicographic order, so the first hit is the least."""
+    for k in range(0, g.n + 1):
+        for c in combinations(range(g.n), k):
+            if dominating(g, c):
+                return k, frozenset(c)
+    raise AssertionError("the whole vertex set dominates")
+
+
 def mu_oracle(g: Graph) -> int:
     edges = sorted(g.edges)
 
@@ -101,6 +115,47 @@ def theta_oracle(g: Graph) -> int:
 
     place(0, [])
     return best[0]
+
+
+def theta_unpruned(g: Graph) -> tuple[int, tuple[frozenset[int], ...], int]:
+    """Clique cover number, witness and search nodes from the unbounded
+    search: first-fit cover as incumbent, vertices in ascending id to an
+    existing class or one fresh class, pruning only at the incumbent's count."""
+    n = g.n
+    adj = adjacency_masks(g)
+    greedy: list[int] = []
+    for v in range(n):
+        for i, c in enumerate(greedy):
+            if adj[v] & c == c:
+                greedy[i] = c | (1 << v)
+                break
+        else:
+            greedy.append(1 << v)
+    best = [len(greedy), list(greedy)]
+    nodes = 0
+    classes: list[int] = []
+
+    def walk(v: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if len(classes) >= best[0]:
+            return
+        if v == n:
+            best[:] = [len(classes), list(classes)]
+            return
+        bit = 1 << v
+        for i, c in enumerate(classes):
+            if adj[v] & c == c:
+                classes[i] = c | bit
+                walk(v + 1)
+                classes[i] = c
+        classes.append(bit)
+        walk(v + 1)
+        classes.pop()
+
+    walk(0)
+    cover = sorted(tuple(sorted(_bits(c))) for c in best[1])
+    return best[0], tuple(frozenset(c) for c in cover), nodes
 
 
 def square_edges_oracle(g: Graph) -> frozenset[tuple[int, int]]:

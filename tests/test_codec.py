@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, labeled_graphs
 from squarestable.codec import (Graph6Error, decode_graph6, encode_graph6,
                                 parse_edge_list)
+from squarestable.families import GraphFamily, generate
 from squarestable.graphs import build_graph
 from squarestable.named_graphs import GALLERY, complete, path
 
@@ -21,7 +22,14 @@ def test_reference_values():
 
 def test_reference_implementation_cross_check():
     networkx = pytest.importorskip("networkx")
-    for g in list(GALLERY.values()) + [path(4), complete(1), build_graph(0, [])]:
+    # every labeled graph on at most 6 vertices, then empty, complete and
+    # random graphs at orders whose pair counts take every residue mod 6
+    # that occurs (0, 1, 3, 4), and on both sides of the 62/63 order-field
+    # boundary
+    boundary = [g for n in [*range(7, 19), *range(60, 67)]
+                for g in (build_graph(n, []), complete(n),
+                          *generate(GraphFamily.gnp(n, 0.5, 3, seed=n)))]
+    for g in [*GALLERY.values(), *labeled_graphs(6), *boundary]:
         ref = networkx.Graph()
         ref.add_nodes_from(range(g.n))
         ref.add_edges_from(g.edges)

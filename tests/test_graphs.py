@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, labeled_graphs
 from oracles import floyd_warshall_oracle, square_edges_oracle
-from squarestable.families import GraphFamily, generate
 from squarestable.graphs import (GraphError, adjacency_masks, build_graph,
                                  components, delete_closed_neighborhood,
                                  disjoint_union, distances, girth,
@@ -164,15 +163,10 @@ def test_adjacent_pendants_only_in_k2_components(g):
                 assert g.neighbors(u) == {v} and g.neighbors(v) == {u}
 
 
-def _labeled_graphs(max_n):
-    for n in range(max_n + 1):
-        yield from generate(GraphFamily.exhaustive(n))
-
-
 def test_mask_routes_match_slow_routes_exhaustively():
     # every labeled graph on at most 6 vertices: each mask-based query
     # against a route built from the edge set or the distance matrix
-    for g in _labeled_graphs(6):
+    for g in labeled_graphs(6):
         masks = [0] * g.n
         nbrs = [set() for _ in range(g.n)]
         for u, v in g.edges:
@@ -201,7 +195,7 @@ def test_mask_routes_match_slow_routes_exhaustively():
 
 
 def test_distances_match_floyd_warshall_exhaustively():
-    for g in _labeled_graphs(5):
+    for g in labeled_graphs(5):
         want = floyd_warshall_oracle(g)
         got = distances(g)
         assert got == [[None if x == float("inf") else x for x in row] for row in want]
@@ -209,7 +203,7 @@ def test_distances_match_floyd_warshall_exhaustively():
 
 def test_girth_matches_networkx_exhaustively():
     networkx = pytest.importorskip("networkx")
-    for g in _labeled_graphs(6):
+    for g in labeled_graphs(6):
         ref = networkx.Graph()
         ref.add_nodes_from(range(g.n))
         ref.add_edges_from(g.edges)

@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import graphs
+from conftest import graphs, labeled_graphs
+from squarestable.codec import decode_graph6
+from squarestable.families import GraphFamily, generate
 from squarestable.graphs import build_graph, square
-from squarestable.invariants import (BudgetExhausted, SolverBudget, alpha,
+from squarestable.invariants import (DEFAULT_BUDGET, BudgetExhausted,
+                                     SolverBudget, alpha,
                                      core_set, count_perfect_matchings,
                                      enumerate_maximal_stable_sets, gamma,
                                      ind_dom, invariant_report,
@@ -13,7 +16,8 @@ from squarestable.invariants import (BudgetExhausted, SolverBudget, alpha,
                                      is_stable_set, maximal_cliques, mu,
                                      omega_family, simplexes,
                                      simplicial_vertices, theta)
-from squarestable.named_graphs import (braced_ladder, complete, cycle,
+from squarestable.named_graphs import (braced_ladder, complete,
+                                       complete_bipartite, cycle,
                                        diamond_with_pendant, empty_graph, path,
                                        star)
 
@@ -127,6 +131,65 @@ def test_count_perfect_matchings():
     assert count_perfect_matchings(path(5)) == 0
     assert count_perfect_matchings(complete(4)) == 3
     assert count_perfect_matchings(complete(4), limit=2) == 2  # early stop
+
+
+def test_count_perfect_matchings_is_budgeted():
+    # K_{9,11} has no perfect matching, but the count tries every way to
+    # match the smaller side first
+    tiny = SolverBudget(max_nodes=1_000)
+    with pytest.raises(BudgetExhausted) as err:
+        count_perfect_matchings(complete_bipartite(9, 11), limit=2, budget=tiny)
+    assert err.value.operation == "count_perfect_matchings"
+    assert err.value.nodes_used == 1_001
+    # K4: the root, three ways to match vertex 0, one way to finish each
+    assert count_perfect_matchings(complete(4), budget=SolverBudget(max_nodes=7)) == 3
+    with pytest.raises(BudgetExhausted):
+        count_perfect_matchings(complete(4), budget=SolverBudget(max_nodes=6))
+
+
+# -- bounded searches against their slow routes ------------------------------
+
+def _theta_matches_unpruned(g):
+    value, cover, nodes = oracles.theta_unpruned(g)
+    assert theta(g) == (value, cover)
+    # the bounded search visits a subset of the unbounded one's nodes
+    assert theta(g, SolverBudget(max_nodes=nodes)) == (value, cover)
+
+
+def test_theta_matches_unpruned_search_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            _theta_matches_unpruned(g)
+            _theta_matches_unpruned(square(g))
+
+
+def test_theta_matches_unpruned_search_on_random_graphs():
+    for n in range(12, 17):
+        for p in (0.3, 0.5, 0.7, 0.85):
+            for g in generate(GraphFamily.gnp(n, p, 6, seed=n)):
+                _theta_matches_unpruned(g)
+
+
+def test_theta_deep_and_tail_inputs():
+    # a greedy cover that meets the greedy stable set returns before any
+    # search, so a long path does not recurse once per vertex
+    assert theta(path(1500))[0] == 750
+    # a G(24, 0.8) draw on which the unbounded search exhausted 10M nodes
+    tail = decode_graph6("W^vVr|uN~~uV^Z}z^vqfVOn~^^~}zue~NtF~[tvjpvzmz}u")
+    value, cover = theta(tail, DEFAULT_BUDGET)
+    assert value == 5 and is_clique_partition(tail, cover) and len(cover) == 5
+
+
+def test_gamma_is_lex_least_minimum_dominating_set_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            assert gamma(g) == oracles.gamma_lex_oracle(g)
+
+
+def test_omega_family_matches_oracle_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            assert omega_family(g) == sorted(oracles.omega_oracle(g), key=sorted)
 
 
 # -- budget behaviour --------------------------------------------------------
