@@ -20,11 +20,11 @@ from typing import Iterator
 from .codec import (Graph6Error, decode_graph6, encode_graph6, graph6_strings,
                     parse_edge_list)
 from .families import GraphFamily, generate, parse_family_spec
-from .graphs import Graph, girth, square
+from .graphs import Graph, square
 from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim,
                       run_negative_controls)
-from .invariants import (BudgetExhausted, InvariantReport, SolverBudget, alpha,
-                         gamma, ind_dom, mu, theta)
+from .invariants import (BudgetExhausted, InvariantReport, SolverBudget,
+                         invariant_report)
 from .recognizers import RecognitionProfile, recognize
 
 EXIT_OK = 0
@@ -82,20 +82,11 @@ def _cmd_analyze(args) -> int:
     worst = EXIT_OK
     for _, g in _input_graphs(args):
         timing: dict[str, float] = {}
-
-        def timed(name, thunk):
-            t0 = time.perf_counter()
-            value = thunk()
-            timing[name] = round(time.perf_counter() - t0, 6)
-            return value
-
         try:
-            a, a_set = timed("alpha", lambda: alpha(g, budget))
-            m, m_set = timed("mu", lambda: mu(g))
-            t, t_parts = timed("theta", lambda: theta(g, budget))
-            d, d_set = timed("gamma", lambda: gamma(g, budget))
-            i, i_set = timed("ind_dom", lambda: ind_dom(g, budget))
-            profile = timed("recognize", lambda: recognize(g, budget))
+            report = invariant_report(g, budget, timing)
+            t0 = time.perf_counter()
+            profile = recognize(g, budget)
+            timing["recognize"] = round(time.perf_counter() - t0, 6)
         except BudgetExhausted as exc:
             _print_json({"graph6": encode_graph6(g), "error": str(exc)})
             worst = EXIT_BUDGET
@@ -103,10 +94,6 @@ def _cmd_analyze(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        report = InvariantReport(
-            alpha=a, mu=m, theta=t, gamma=d, ind_dom=i, girth=girth(g),
-            stable_set=a_set, matching=m_set, clique_cover=t_parts,
-            dominating_set=d_set, min_maximal_stable_set=i_set)
         record = AnalysisRecord(graph6=encode_graph6(g), invariants=report,
                                 profile=profile, timing=timing)
         _print_json(record.to_json_dict())

@@ -10,7 +10,7 @@ stores its adjacency bitmasks once; the structural queries here run on them.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
@@ -29,7 +29,7 @@ class Graph:
     The adjacency bitmasks are the stored representation: bit ``u`` of
     ``_masks[v]`` is set exactly when ``uv`` is an edge; neighbor sets are
     derived from them.  ``_facts`` is a private memo for values
-    computed from the graph (see the claim harness); it never takes part in
+    computed from the graph (see :func:`memoized`); it never takes part in
     equality or hashing.
     """
 
@@ -80,6 +80,28 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+
+
+T = TypeVar("T")
+
+_MISSING = object()
+
+
+def memoized(g: Graph, key: str, compute: Callable[..., T], *args) -> T:
+    """Value ``key`` of g, computed by ``compute(*args)`` once per Graph object.
+
+    The value is kept in the graph's private memo, so it lives and dies with
+    the graph.  A key names one computation from the definitions wherever it
+    is used: ``"square"`` is :func:`square`, and a solver's name (``"alpha"``,
+    ``"mu"``, ``"theta"``, ``"gamma"``, ``"ind_dom"``) holds its full
+    ``(value, witness)`` result.  A computation that raises (a solver out of
+    budget) stores nothing, so the next caller computes again.
+    """
+    memo = g._facts
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
 
 
 def _bits(mask: int) -> Iterator[int]:

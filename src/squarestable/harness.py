@@ -25,10 +25,11 @@ from .codec import decode_graph6, encode_graph6
 from .families import GraphFamily, generate
 from .graphs import (Graph, components, delete_closed_neighborhood, distances,
                      girth_at_least, is_connected, is_cycle_of_length, is_tree,
-                     pendant_edges, square)
-from .invariants import (DEFAULT_BUDGET, BudgetExhausted, SolverBudget, alpha,
-                         count_perfect_matchings, core_set, gamma, ind_dom,
-                         mu, omega_family, simplexes, simplicial_vertices, theta)
+                     memoized, pendant_edges, square)
+from .invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP, BudgetExhausted,
+                         SolverBudget, alpha, count_perfect_matchings, core_set,
+                         gamma, ind_dom, mu, omega_family, simplexes,
+                         simplicial_vertices, theta)
 from .recognizers import (has_pendant_perfect_matching, is_simplicial_graph,
                           is_well_covered)
 
@@ -79,52 +80,54 @@ class Claim:
 # per-graph facts (definition-level, no recognizer shortcuts)
 
 
-_MISSING = object()
-
-
 def _fact(g: Graph, name: str, budget: SolverBudget):
     """Fact ``name`` of g, computed once per Graph object from its definition.
 
-    The value is kept in the graph's private memo, so it lives and dies with
-    the graph being evaluated.  A solver that runs out of budget raises
-    through here and leaves nothing behind: a skip stays a skip.  A memoized
-    value is exact, so it answers under any budget.
+    The value is kept in the graph's private memo (see
+    :func:`~squarestable.graphs.memoized`), so it lives and dies with the
+    graph being evaluated, and the recognizers and ``invariant_report`` read
+    the same entries.  A solver that runs out of budget raises through here
+    and leaves nothing behind: a skip stays a skip.  A memoized value is
+    exact, so it answers under any budget.
     """
-    memo = g._facts
-    value = memo.get(name, _MISSING)
-    if value is _MISSING:
-        value = memo[name] = _FACTS[name](g, budget)
-    return value
+    return memoized(g, name, _FACTS[name], g, budget)
 
 
-#: How each fact is computed.  Facts made of other facts read them through
-#: :func:`_fact` and keep the short-circuit order of their definition, so a
-#: budget skip happens on the same graphs as when every value is recomputed.
+#: How each fact is computed.  A solver's fact is its full (value, witness)
+#: result, so the claims read its value as ``[0]``.  Facts made of other
+#: facts read them through :func:`_fact` and keep the short-circuit order of
+#: their definition, so a budget skip happens on the same graphs as when
+#: every value is recomputed.
 _FACTS: dict[str, Callable[[Graph, SolverBudget], object]] = {
     "square": lambda g, budget: square(g),
     "connected": lambda g, budget: is_connected(g),
-    "alpha": lambda g, budget: alpha(g, budget)[0],
-    "theta": lambda g, budget: theta(g, budget)[0],
-    "mu": lambda g, budget: mu(g)[0],
+    "alpha": lambda g, budget: alpha(g, budget),
+    "theta": lambda g, budget: theta(g, budget),
+    "mu": lambda g, budget: mu(g),
+    "gamma": lambda g, budget: gamma(g, budget),
+    "ind_dom": lambda g, budget: ind_dom(g, budget),
     "wc": lambda g, budget: is_well_covered(g, budget)[0],
-    "core": lambda g, budget: core_set(g, budget),
+    "omega": lambda g, budget: omega_family(g, budget),
+    "core": lambda g, budget: core_set(
+        g, budget,
+        _fact(g, "omega", budget) if g.n <= OMEGA_ENUMERATION_CAP else None),
     "pendant_pm": lambda g, budget: has_pendant_perfect_matching(g),
     "pendant_edge_count": lambda g, budget: len(pendant_edges(g)),
-    "ke": lambda g, budget: (_fact(g, "alpha", budget) + _fact(g, "mu", budget)
+    "ke": lambda g, budget: (_fact(g, "alpha", budget)[0] + _fact(g, "mu", budget)[0]
                              == g.n),
-    "ss": lambda g, budget: (_fact(g, "alpha", budget)
-                             == _fact(_fact(g, "square", budget), "alpha", budget)),
+    "ss": lambda g, budget: (_fact(g, "alpha", budget)[0]
+                             == _fact(_fact(g, "square", budget), "alpha", budget)[0]),
     "vwc": lambda g, budget: (all(g.degree(v) > 0 for v in range(g.n))
-                              and g.n == 2 * _fact(g, "alpha", budget)
+                              and g.n == 2 * _fact(g, "alpha", budget)[0]
                               and _fact(g, "wc", budget)),
-    "perfect_matching": lambda g, budget: 2 * _fact(g, "mu", budget) == g.n,
+    "perfect_matching": lambda g, budget: 2 * _fact(g, "mu", budget)[0] == g.n,
 }
 
 
 def _distance3_omega_member_exists(g, budget) -> bool:
     """Literal reading: some maximum stable set is pairwise at distance >= 3."""
     d = distances(g)
-    for s in omega_family(g, budget):
+    for s in _fact(g, "omega", budget):
         ok = True
         for u, v in combinations(sorted(s), 2):
             if d[u][v] is not None and d[u][v] < 3:
@@ -174,12 +177,12 @@ def _applies_nonempty(g, budget):
 def _violation_chain(g, budget):
     sq = _fact(g, "square", budget)
     vals = {
-        "alpha_square": _fact(sq, "alpha", budget),
-        "theta_square": _fact(sq, "theta", budget),
-        "gamma": gamma(g, budget)[0],
-        "ind_dom": ind_dom(g, budget)[0],
-        "alpha": _fact(g, "alpha", budget),
-        "theta": _fact(g, "theta", budget),
+        "alpha_square": _fact(sq, "alpha", budget)[0],
+        "theta_square": _fact(sq, "theta", budget)[0],
+        "gamma": _fact(g, "gamma", budget)[0],
+        "ind_dom": _fact(g, "ind_dom", budget)[0],
+        "alpha": _fact(g, "alpha", budget)[0],
+        "theta": _fact(g, "theta", budget)[0],
     }
     chain = [vals["alpha_square"], vals["theta_square"], vals["gamma"],
              vals["ind_dom"], vals["alpha"], vals["theta"]]
@@ -194,12 +197,12 @@ def _applies_connected(g, budget):
 
 def _violation_equivalences(g, budget):
     sq = _fact(g, "square", budget)
-    a = _fact(g, "alpha", budget)
-    a2 = _fact(sq, "alpha", budget)
-    t = _fact(g, "theta", budget)
-    t2 = _fact(sq, "theta", budget)
-    gam = gamma(g, budget)[0]
-    ind = ind_dom(g, budget)[0]
+    a = _fact(g, "alpha", budget)[0]
+    a2 = _fact(sq, "alpha", budget)[0]
+    t = _fact(g, "theta", budget)[0]
+    t2 = _fact(sq, "theta", budget)[0]
+    gam = _fact(g, "gamma", budget)[0]
+    ind = _fact(g, "ind_dom", budget)[0]
     conditions = {
         "unique_simplex_cover": all(c == 1 for c in _simplex_cover_counts(g, budget)),
         "alpha_square_equal": a == a2,
@@ -220,7 +223,7 @@ def _applies_connected_square_stable(g, budget):
 
 def _violation_simplicial_correspondence(g, budget):
     sq = _fact(g, "square", budget)
-    omega_sq = omega_family(sq, budget)
+    omega_sq = _fact(sq, "omega", budget)
     union = frozenset().union(*omega_sq) if omega_sq else frozenset()
     simp = simplicial_vertices(g)
     core_sq = _fact(sq, "core", budget)
@@ -250,7 +253,7 @@ def _violation_pendant_matching(g, budget):
     m = _fact(g, "pendant_pm", budget)
     assert m is not None
     expected = _expected_square_omega(g, m)
-    got = omega_family(_fact(g, "square", budget), budget)
+    got = _fact(_fact(g, "square", budget), "omega", budget)
     conditions = {
         "square_stable": _fact(g, "ss", budget),
         "square_omega_is_pendant_selections": got == expected,
@@ -267,7 +270,7 @@ def _applies_connected_ke(g, budget):
 
 
 def _violation_ke_characterization(g, budget):
-    a = _fact(g, "alpha", budget)
+    a = _fact(g, "alpha", budget)[0]
     conditions = {
         "square_stable": _fact(g, "ss", budget),
         "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
@@ -297,8 +300,8 @@ def _applies_connected_ss_n2(g, budget):
 
 
 def _violation_alpha_le_mu(g, budget):
-    a = _fact(g, "alpha", budget)
-    m = _fact(g, "mu", budget)
+    a = _fact(g, "alpha", budget)[0]
+    m = _fact(g, "mu", budget)[0]
     if a <= m:
         return None
     return {"values": {"alpha": a, "mu": m}}
@@ -316,7 +319,7 @@ def _violation_square_ke(g, budget):
                                      and _fact(g, "perfect_matching", budget)),
     }
     return _equal_or_table(conditions, {
-        "alpha": _fact(g, "alpha", budget), "mu": _fact(g, "mu", budget),
+        "alpha": _fact(g, "alpha", budget)[0], "mu": _fact(g, "mu", budget)[0],
         "order": g.n})
 
 
@@ -331,7 +334,7 @@ def _violation_vwc_characterization(g, budget):
     if g.n >= 2 and _fact(g, "connected", budget):
         left = _fact(g, "ss", budget) and _fact(g, "vwc", budget)
         right = (_fact(g, "ke", budget) and _fact(g, "perfect_matching", budget)
-                 and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget))
+                 and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget)[0])
         details["conditions"]["square_stable_and_vwc"] = left
         details["conditions"]["ke_pm_alpha_pendants"] = right
         bad = bad or left != right
@@ -350,7 +353,7 @@ def _applies_girth6(g, budget):
 
 
 def _violation_girth6(g, budget):
-    a = _fact(g, "alpha", budget)
+    a = _fact(g, "alpha", budget)[0]
     conditions = {
         "well_covered": _fact(g, "wc", budget),
         "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
@@ -393,12 +396,12 @@ def _violation_vwc_basics(g, budget):
         conditions["connected_ke_wc_equals_vwc"] = eq
         bad = bad or not eq
     if g.n >= 2 and not _is_complete_graph(g) and _fact(g, "wc", budget):
-        a = _fact(g, "alpha", budget)
+        a = _fact(g, "alpha", budget)[0]
         all_good = True
         for v in range(g.n):
             h, _ = delete_closed_neighborhood(g, v)
             if (h.n < 1 or not _fact(h, "wc", budget)
-                    or _fact(h, "alpha", budget) != a - 1):
+                    or _fact(h, "alpha", budget)[0] != a - 1):
                 all_good = False
                 values["failing_vertex"] = v
                 break
@@ -438,12 +441,12 @@ def _applies_unique_pm(g, budget):
 
 
 def _applies_unique_square_omega(g, budget):
-    return g.n >= 1 and len(omega_family(_fact(g, "square", budget), budget)) == 1
+    return g.n >= 1 and len(_fact(_fact(g, "square", budget), "omega", budget)) == 1
 
 
 def _applies_ke_alpha_pendants(g, budget):
     return (g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget)
-            and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget))
+            and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget)[0])
 
 
 def _violation_not_square_stable(g, budget):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, VertexSet, _bits, adjacency_masks
+from .graphs import Graph, VertexSet, _bits, adjacency_masks, memoized
 from .graphs import girth as _girth
 
 Matching = frozenset[tuple[int, int]]
@@ -136,37 +136,49 @@ def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexS
 # maximal stable sets, Omega, core
 
 
-def _maximal_stable_masks(g: Graph, meter: _Meter) -> Iterator[int]:
-    """Stream every inclusion-maximal stable set (as a mask), unordered.
+def _bron_kerbosch(nbr: list[int] | tuple[int, ...], full: int,
+                   meter: _Meter) -> Iterator[int]:
+    """Stream every maximal clique (as a mask) of the graph on ``full`` whose
+    neighborhoods are ``nbr``: Bron-Kerbosch with pivoting, unordered.
 
-    Bron-Kerbosch with pivoting run on the complement graph: maximal cliques
-    there are exactly the maximal stable sets here.
+    Runs depth-first on an explicit stack, so a large clique does not
+    recurse once per member.
     """
-    n = g.n
-    if n == 0:
-        yield 0
-        return
-    full = (1 << n) - 1
-    adj = adjacency_masks(g)
-    nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
+    r, p, x = 0, full, 0
+    stack: list[list[int]] = []  # open nodes: [r, p, x, branch vertices left]
+    while True:
         meter.tick()
         if p == 0 and x == 0:
             yield r
+        else:
+            pivot, pivot_count = -1, -1
+            for u in _bits(p | x):
+                c = (p & nbr[u]).bit_count()
+                if c > pivot_count:
+                    pivot, pivot_count = u, c
+            stack.append([r, p, x, p & ~nbr[pivot]])
+        while stack:
+            frame = stack[-1]
+            todo = frame[3]
+            if todo:
+                bit = todo & -todo
+                v = bit.bit_length() - 1
+                r, p, x = frame[0] | bit, frame[1] & nbr[v], frame[2] & nbr[v]
+                frame[1] ^= bit
+                frame[2] |= bit
+                frame[3] = todo ^ bit
+                break
+            stack.pop()
+        else:
             return
-        pivot, pivot_count = -1, -1
-        for u in _bits(p | x):
-            c = (p & nonadj[u]).bit_count()
-            if c > pivot_count:
-                pivot, pivot_count = u, c
-        for v in _bits(p & ~nonadj[pivot]):
-            bit = 1 << v
-            yield from bk(r | bit, p & nonadj[v], x & nonadj[v])
-            p ^= bit
-            x |= bit
 
-    yield from bk(0, full, 0)
+
+def _maximal_stable_masks(g: Graph, meter: _Meter) -> Iterator[int]:
+    """Stream every inclusion-maximal stable set (as a mask), unordered:
+    the maximal cliques of the complement graph."""
+    full = (1 << g.n) - 1
+    adj = adjacency_masks(g)
+    return _bron_kerbosch([full & ~adj[v] & ~(1 << v) for v in range(g.n)], full, meter)
 
 
 def enumerate_maximal_stable_sets(
@@ -204,17 +216,19 @@ def omega_family(
     return fam
 
 
-def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
+def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
+             family: list[VertexSet] | None = None) -> VertexSet:
     """Intersection of all maximum stable sets.
 
-    Small graphs intersect the materialized family; larger ones use the
+    Small graphs intersect the materialized family (``family``, when the
+    caller already holds ``omega_family(g)``); larger ones use the
     fix-and-test rule: v lies in every maximum stable set exactly when
     deleting v drops the stability number.
     """
     if g.n < 1:
         raise ValueError("core_set requires at least one vertex")
     if g.n <= OMEGA_ENUMERATION_CAP:
-        fam = omega_family(g, budget)
+        fam = omega_family(g, budget) if family is None else family
         core = set(fam[0])
         for s in fam[1:]:
             core &= s
@@ -528,18 +542,96 @@ def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexS
     return value, _mask_to_set(chosen)
 
 
+def _ind_dom_value(closed: list[int], full: int, max_cover: int, meter: _Meter,
+                   forced: int = 0, candidates_from: int = 0,
+                   stop_at: int | None = None) -> tuple[int, int] | None:
+    """Minimum size of a maximal stable set containing the stable set
+    ``forced`` whose further members all have id >= candidates_from, with one
+    such set as a mask.  ``stop_at`` turns the search into a feasibility
+    test: return the first set of at most that size.
+
+    A maximal stable set is a stable dominating set.  Each node branches on
+    the still undominated members of N[u] for the least undominated u: an
+    undominated vertex is adjacent to no chosen one, so the chosen set stays
+    stable, and every stable set extending the chosen one that dominates u
+    holds such a member.  The branch for v takes the sets containing v and
+    none of the earlier siblings, so no set is reached twice.  The search
+    runs depth-first, least candidate first, on an explicit stack, and stops
+    expanding a node once its bound meets the incumbent."""
+    dominated = 0
+    for v in _bits(forced):
+        dominated |= closed[v]
+    chosen, count = forced, forced.bit_count()
+    banned = ((1 << candidates_from) - 1) | forced
+    best: tuple[int, int] | None = None
+    # open nodes: [dominated, chosen, count, bound, untried candidates, banned]
+    stack: list[list[int]] = []
+    while True:
+        meter.tick()
+        und = full & ~dominated
+        if not und:
+            if best is None or count < best[0]:
+                best = (count, chosen)
+                if stop_at is not None and count <= stop_at:
+                    return best
+        else:
+            lower = count + -(-und.bit_count() // max_cover)
+            if ((best is None or lower < best[0])
+                    and (stop_at is None or lower <= stop_at)):
+                u = (und & -und).bit_length() - 1
+                stack.append([dominated, chosen, count, lower,
+                              closed[u] & und & ~banned, banned])
+        while stack:
+            frame = stack[-1]
+            cands = frame[4]
+            if cands and (best is None or frame[3] < best[0]):
+                low = cands & -cands
+                banned = frame[5]
+                frame[4] = cands ^ low
+                frame[5] = banned | low
+                dominated = frame[0] | closed[low.bit_length() - 1]
+                chosen = frame[1] | low
+                count = frame[2] + 1
+                break
+            stack.pop()
+        else:
+            return best
+
+
 def ind_dom(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
-    """Independent domination number: smallest inclusion-maximal stable set."""
+    """Independent domination number with the lexicographically least
+    smallest inclusion-maximal stable set."""
     if g.n < 1:
         raise ValueError("ind_dom requires at least one vertex")
+    n = g.n
+    adjm = adjacency_masks(g)
+    closed = [adjm[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    max_cover = max(c.bit_count() for c in closed)
     meter = _Meter("ind_dom", budget)
-    best: tuple[int, tuple[int, ...]] | None = None
-    for m in _maximal_stable_masks(g, meter):
-        key = (m.bit_count(), tuple(sorted(_bits(m))))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[0], frozenset(best[1])
+    found = _ind_dom_value(closed, full, max_cover, meter)
+    assert found is not None
+    value, known = found
+    # lexicographic fix pass, as in gamma; a vertex adjacent to a chosen one
+    # cannot join the stable set, so it needs no search
+    chosen = dominated = 0
+    next_candidate = 0
+    for _ in range(value):
+        rest = known & ~chosen
+        pick = (rest & -rest).bit_length() - 1
+        for v in range(next_candidate, pick):
+            if dominated >> v & 1:
+                continue
+            found = _ind_dom_value(closed, full, max_cover, meter,
+                                   forced=chosen | (1 << v), candidates_from=v + 1,
+                                   stop_at=value)
+            if found is not None and found[0] <= value:
+                pick, known = v, found[1]
+                break
+        chosen |= 1 << pick
+        dominated |= closed[pick]
+        next_candidate = pick + 1
+    return value, _mask_to_set(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -561,29 +653,9 @@ def maximal_cliques(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Ver
     """All inclusion-maximal cliques (Bron-Kerbosch, pivoting), lexicographic."""
     if g.n < 1:
         raise ValueError("maximal_cliques requires at least one vertex")
-    n = g.n
-    adj = adjacency_masks(g)
     meter = _Meter("maximal_cliques", budget)
-    out: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        meter.tick()
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot, pivot_count = -1, -1
-        for u in _bits(p | x):
-            c = (p & adj[u]).bit_count()
-            if c > pivot_count:
-                pivot, pivot_count = u, c
-        for v in _bits(p & ~adj[pivot]):
-            bit = 1 << v
-            bk(r | bit, p & adj[v], x & adj[v])
-            p ^= bit
-            x |= bit
-
-    bk(0, (1 << n) - 1, 0)
-    sets = [_mask_to_set(m) for m in out]
+    sets = [_mask_to_set(m)
+            for m in _bron_kerbosch(adjacency_masks(g), (1 << g.n) - 1, meter)]
     sets.sort(key=sorted)
     return sets
 
@@ -666,13 +738,28 @@ class InvariantReport:
         }
 
 
-def invariant_report(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> InvariantReport:
-    """Compute every invariant of the report for one graph."""
-    a, a_set = alpha(g, budget)
-    m, m_set = mu(g)
-    t, t_parts = theta(g, budget)
-    d, d_set = gamma(g, budget)
-    i, i_set = ind_dom(g, budget)
+def invariant_report(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
+                     timing: dict[str, float] | None = None) -> InvariantReport:
+    """Compute every invariant of the report for one graph.
+
+    Each solver's full result is read through the graph's memo
+    (:func:`~squarestable.graphs.memoized`), so a value another caller
+    already solved on this graph object is not solved again.  With
+    ``timing``, the seconds each read took are stored under the solver's
+    name, rounded to microseconds.
+    """
+    def solved(name, solver, *args):
+        t0 = time.perf_counter()
+        result = memoized(g, name, solver, *args)
+        if timing is not None:
+            timing[name] = round(time.perf_counter() - t0, 6)
+        return result
+
+    a, a_set = solved("alpha", alpha, g, budget)
+    m, m_set = solved("mu", mu, g)
+    t, t_parts = solved("theta", theta, g, budget)
+    d, d_set = solved("gamma", gamma, g, budget)
+    i, i_set = solved("ind_dom", ind_dom, g, budget)
     return InvariantReport(
         alpha=a, mu=m, theta=t, gamma=d, ind_dom=i, girth=_girth(g),
         stable_set=a_set, matching=m_set, clique_cover=t_parts,

@@ -6,8 +6,12 @@ exposed so the claim harness can compare the routes instead of trusting one.
 
 ``recognize`` bundles the flags for one graph.  It computes the cheap
 structural facts first and may skip an expensive solve when an implication
-already decides a flag; ``cross_check=True`` disables the shortcuts and
-verifies every flag from its definition, raising on any disagreement.
+already decides a flag.  It reads α(G), μ(G), the square and α(G²) through
+the graph's memo, so values already solved on the same graph object (by
+``invariant_report``, say) are not solved again.  ``cross_check=True``
+disables the shortcuts and verifies every flag from its definition through
+the predicates below, which always call the solvers, raising on any
+disagreement.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, VertexSet, distances, pendant_edges, square
+from .graphs import Graph, VertexSet, distances, memoized, pendant_edges, square
 from .invariants import (DEFAULT_BUDGET, BudgetExhausted, Matching, SolverBudget,
                          _maximal_stable_masks, _mask_to_set, _Meter, alpha,
                          is_matching, mu, simplexes, simplicial_vertices)
@@ -91,7 +95,14 @@ def has_distance3_maximum_stable_set(
     """
     _require_vertices(g)
     a, _ = alpha(g, budget)
-    a2, witness = alpha(square(g), budget)
+    return _distance3_witness(g, a, alpha(square(g), budget))
+
+
+def _distance3_witness(g: Graph, a: int, square_alpha: tuple[int, VertexSet]
+                       ) -> VertexSet | None:
+    """The square's maximum stable set when its size is the base stability
+    number ``a``, checked against the literal distance condition."""
+    a2, witness = square_alpha
     if a2 != a:
         return None
     d = distances(g)
@@ -196,8 +207,8 @@ def recognize(
             certificates[name] = {"budget_exhausted": exc.nodes_used}
             return _EXHAUSTED
 
-    a = run("alpha", lambda: alpha(g, budget))
-    m_val, m_set = mu(g)
+    a = run("alpha", lambda: memoized(g, "alpha", alpha, g, budget))
+    m_val, m_set = memoized(g, "mu", mu, g)
 
     ke: bool | None = None
     if a is not _EXHAUSTED:
@@ -237,7 +248,12 @@ def recognize(
         one_per_edge = sorted(min(e, key=lambda v: (g.degree(v), v)) for e in pm)
         certificates["square_stable"] = {"distance3_stable_set": one_per_edge}
     else:
-        d3 = run("square_stable", lambda: has_distance3_maximum_stable_set(g, budget))
+        def distance3():
+            a_g = memoized(g, "alpha", alpha, g, budget)[0]
+            sq = memoized(g, "square", square, g)
+            return _distance3_witness(g, a_g, memoized(sq, "alpha", alpha, sq, budget))
+
+        d3 = run("square_stable", distance3)
         if d3 is not _EXHAUSTED:
             ss = d3 is not None
             certificates["square_stable"] = (

@@ -4,9 +4,11 @@ Everything here scans subsets or partitions directly with itertools, sharing
 no code or algorithmic idea with the branch-and-bound / blossom /
 Bron-Kerbosch paths under test.  Exponential on purpose; keep inputs small.
 
-The one exception is :func:`theta_unpruned`, the clique-cover search as it
-ran before its bounds were added: the bounded search must return its value
-and witness exactly, in no more nodes.
+The exceptions are slow routes the real solvers replaced, kept as references
+they must match exactly: :func:`theta_unpruned`, the clique-cover search as
+it ran before its bounds were added (the bounded search must also need no
+more nodes), and :func:`ind_dom_enumeration`, independent domination by
+listing every maximal stable set.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from squarestable.graphs import Graph, _bits, adjacency_masks
+from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _maximal_stable_masks,
+                                     _Meter)
 
 
 def stable(g: Graph, vs) -> bool:
@@ -61,6 +65,38 @@ def gamma_oracle(g: Graph) -> int:
 
 def ind_dom_oracle(g: Graph) -> int:
     return min(len(s) for s in maximal_stable_sets_oracle(g))
+
+
+def ind_dom_lex_oracle(g: Graph) -> tuple[int, frozenset[int]]:
+    """Lexicographically least smallest maximal stable set: the first one in
+    combinations order at the least size that has one."""
+    for k in range(0, g.n + 1):
+        for c in combinations(range(g.n), k):
+            if maximal_stable(g, c):
+                return k, frozenset(c)
+    raise AssertionError("some stable set is maximal")
+
+
+def ind_dom_enumeration(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
+                        ) -> tuple[int, frozenset[int]]:
+    """Independent domination as it was computed before its search: the
+    least (size, sorted members) key over every maximal stable set."""
+    meter = _Meter("ind_dom", budget)
+    best = min((m.bit_count(), tuple(_bits(m))) for m in _maximal_stable_masks(g, meter))
+    return best[0], frozenset(best[1])
+
+
+def maximal_cliques_oracle(g: Graph) -> list[frozenset[int]]:
+    """Every inclusion-maximal clique in lexicographic order, by testing each
+    vertex subset: a clique is maximal when no outside vertex is adjacent to
+    all of its members."""
+    out = []
+    for k in range(1, g.n + 1):
+        for c in combinations(range(g.n), k):
+            if all(g.has_edge(u, v) for u, v in combinations(c, 2)) and not any(
+                    all(g.has_edge(w, u) for u in c) for w in range(g.n) if w not in c):
+                out.append(frozenset(c))
+    return sorted(out, key=sorted)
 
 
 def gamma_lex_oracle(g: Graph) -> tuple[int, frozenset[int]]:

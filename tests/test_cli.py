@@ -2,10 +2,14 @@ import json
 import subprocess
 import sys
 
+import squarestable.invariants as invariants
+import squarestable.recognizers as recognizers
 from squarestable.cli import cli_main
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.graphs import square
-from squarestable.named_graphs import cycle, path
+from squarestable.invariants import invariant_report
+from squarestable.named_graphs import c4_with_two_pendants, cycle, path, paw, star
+from squarestable.recognizers import recognize
 
 
 def run_cli(args, stdin=""):
@@ -42,6 +46,39 @@ def test_analyze_record_shape():
     assert record["profile"]["pendant_perfect_matching"] is True
     assert set(record["timing"]) == {"alpha", "mu", "theta", "gamma",
                                      "ind_dom", "recognize"}
+
+
+def test_analyze_solves_alpha_once_per_record(monkeypatch, tmp_path, capsys):
+    # with and without a pendant perfect matching (which spares the square's
+    # alpha); every square here differs from its graph, so the graph6 of a
+    # solved graph tells the base graph from its square
+    lines = [encode_graph6(g) for g in (path(4), path(5), cycle(7), star(4), paw(),
+                                        c4_with_two_pendants())]
+    solved = []
+    real_alpha = invariants.alpha
+
+    def counting_alpha(g, budget=invariants.DEFAULT_BUDGET):
+        solved.append(encode_graph6(g))
+        return real_alpha(g, budget)
+
+    monkeypatch.setattr(invariants, "alpha", counting_alpha)
+    monkeypatch.setattr(recognizers, "alpha", counting_alpha)
+    source = tmp_path / "graphs.g6"
+    source.write_text("\n".join(lines) + "\n")
+    assert cli_main(["analyze", "--input", str(source)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [solved.count(line) for line in lines] == [1] * len(lines)
+    monkeypatch.undo()
+
+    assert [r["graph6"] for r in records] == lines
+    for line, record in zip(lines, records):
+        del record["timing"]
+        separately = {
+            "graph6": line,
+            "invariants": invariant_report(decode_graph6(line)).to_json_dict(),
+            "profile": recognize(decode_graph6(line)).to_json_dict(),
+        }
+        assert record == json.loads(json.dumps(separately))
 
 
 def test_analyze_edgelist_input():

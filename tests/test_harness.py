@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 
+import squarestable.harness as harness
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily
 from squarestable.graphs import disjoint_union, is_cycle_of_length
@@ -237,3 +239,26 @@ def test_memoized_facts_match_a_fresh_graph():
             want = evaluate(claim, decode_graph6(encode_graph6(g)))
             for _ in range(2):
                 assert evaluate(claim, g) == want, (name, encode_graph6(g))
+
+
+def test_solvers_run_once_per_graph_across_claims(monkeypatch):
+    # P4 meets the hypotheses of the chain, the equivalences, the square's
+    # simplicial correspondence and the pendant-matching claim, which between
+    # them read gamma, i, Omega(G), Omega(G^2) and the square's core
+    calls = Counter()
+
+    def counting(name, real):
+        def solver(g, *args, **kwargs):
+            calls[name, id(g)] += 1
+            return real(g, *args, **kwargs)
+        return solver
+
+    for name in ("gamma", "ind_dom", "omega_family", "core_set", "alpha", "theta"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    g = path(4)
+    for claim in ALL_CLAIMS.values():
+        assert _scan(claim, [g], DEFAULT_BUDGET)[:3] in ((1, 1, 0), (1, 0, 0))
+    assert max(calls.values()) == 1
+    solved = Counter(name for name, _ in calls)
+    assert solved["gamma"] == solved["ind_dom"] == 1
+    assert solved["omega_family"] == 2  # on G and on its square

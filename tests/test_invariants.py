@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -184,6 +187,57 @@ def test_gamma_is_lex_least_minimum_dominating_set_exhaustively():
     for g in labeled_graphs(6):
         if g.n:
             assert gamma(g) == oracles.gamma_lex_oracle(g)
+
+
+def _ind_dom_matches_references(g):
+    got = ind_dom(g)
+    assert got == oracles.ind_dom_enumeration(g), g
+    assert got == oracles.ind_dom_lex_oracle(g), g
+
+
+def test_ind_dom_is_lex_least_minimum_maximal_stable_set_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            _ind_dom_matches_references(g)
+            _ind_dom_matches_references(square(g))
+
+
+def test_ind_dom_matches_references_on_random_graphs():
+    for n in range(12, 19):
+        for p in (0.15, 0.3, 0.5, 0.7):
+            for g in generate(GraphFamily.gnp(n, p, 3, seed=n)):
+                _ind_dom_matches_references(g)
+
+
+@pytest.mark.parametrize("build", [
+    "path(2500)", "cycle(2501)", "disjoint_union(path(1500), cycle(5))"])
+def test_ind_dom_deep_inputs_end_within_budget(build):
+    # each run in its own interpreter under a wall-clock limit: a recursive
+    # search would raise RecursionError, an unbounded one would hang
+    code = (
+        "from squarestable.graphs import disjoint_union\n"
+        "from squarestable.invariants import BudgetExhausted, SolverBudget, ind_dom\n"
+        "from squarestable.named_graphs import cycle, path\n"
+        f"g = {build}\n"
+        "try:\n"
+        "    print('value', ind_dom(g, SolverBudget(max_nodes=200_000, max_seconds=10))[0])\n"
+        "except BudgetExhausted as exc:\n"
+        "    print('budget', exc.operation)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] in ("value", "budget"), proc.stdout
+
+
+def test_maximal_cliques_match_oracle_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            assert maximal_cliques(g) == oracles.maximal_cliques_oracle(g)
+
+
+def test_core_set_takes_the_known_family():
+    for g in [path(6), star(4), cycle(6), braced_ladder(), square(braced_ladder())]:
+        assert core_set(g, family=omega_family(g)) == core_set(g)
 
 
 def test_omega_family_matches_oracle_exhaustively():
