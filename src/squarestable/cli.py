@@ -62,15 +62,13 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _input_graphs(args) -> Iterator[tuple[str, Graph]]:
-    """Yield (graph6, graph) pairs from the selected input."""
+def _input_graphs(args) -> Iterator[Graph]:
+    """Yield the graphs of the selected input."""
     if args.format == "edgelist":
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-        g = parse_edge_list(text)
-        yield encode_graph6(g), g
+        yield parse_edge_list("\n".join(_read_lines(args.input)))
         return
     for line in graph6_strings(_read_lines(args.input)):
-        yield line, decode_graph6(line)
+        yield decode_graph6(line)
 
 
 def _print_json(record: dict) -> None:
@@ -80,7 +78,7 @@ def _print_json(record: dict) -> None:
 def _cmd_analyze(args) -> int:
     budget = _budget_from(args)
     worst = EXIT_OK
-    for _, g in _input_graphs(args):
+    for g in _input_graphs(args):
         timing: dict[str, float] = {}
         try:
             report = invariant_report(g, budget, timing)
@@ -103,7 +101,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_recognize(args) -> int:
     budget = _budget_from(args)
     worst = EXIT_OK
-    for _, g in _input_graphs(args):
+    for g in _input_graphs(args):
         try:
             profile = recognize(g, budget)
         except ValueError as exc:
@@ -119,7 +117,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_square(args) -> int:
-    for _, g in _input_graphs(args):
+    for g in _input_graphs(args):
         sys.stdout.write(encode_graph6(square(g)) + "\n")
     return EXIT_OK
 

@@ -9,14 +9,10 @@ stores its adjacency bitmasks once; the structural queries here run on them.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, TypeVar
 
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
-
-#: All-pairs distance matrix; ``None`` marks an unreachable pair.
-DistanceMatrix = list[list[int | None]]
 
 
 class GraphError(ValueError):
@@ -293,8 +289,3 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
     return Graph(n, edges)
-
-
-def iter_vertex_pairs(n: int) -> Iterator[Edge]:
-    """Unordered vertex pairs in lexicographic order."""
-    return combinations(range(n), 2)

@@ -31,7 +31,7 @@ from .invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP, BudgetExhausted,
                          gamma, ind_dom, mu, omega_family, simplexes,
                          simplicial_vertices, theta)
 from .recognizers import (has_pendant_perfect_matching, is_simplicial_graph,
-                          is_well_covered)
+                          is_well_covered, vertex_in_exactly_one_simplex)
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,6 @@ def _distance3_omega_member_exists(g, budget) -> bool:
     return False
 
 
-def _simplex_cover_counts(g, budget) -> list[int]:
-    counts = [0] * g.n
-    for s in simplexes(g, budget):
-        for v in s:
-            counts[v] += 1
-    return counts
-
-
 def _expected_square_omega(g, matching) -> list[frozenset[int]]:
     """Maximum stable sets of the square forced by a pendant perfect matching:
     one pendant endpoint per matched edge, the choice being free only on
@@ -204,7 +196,7 @@ def _violation_equivalences(g, budget):
     gam = _fact(g, "gamma", budget)[0]
     ind = _fact(g, "ind_dom", budget)[0]
     conditions = {
-        "unique_simplex_cover": all(c == 1 for c in _simplex_cover_counts(g, budget)),
+        "unique_simplex_cover": vertex_in_exactly_one_simplex(g, budget),
         "alpha_square_equal": a == a2,
         "theta_square_equal": t == t2,
         "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,

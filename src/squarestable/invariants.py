@@ -466,98 +466,23 @@ def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[V
 # domination
 
 
-def _gamma_value(closed: list[int], full: int, meter: _Meter,
-                 forced: int = 0, candidates_from: int = 0,
-                 stop_at: int | None = None) -> tuple[int, int] | None:
+def _dominating_search(closed: list[int], full: int, max_cover: int, stable: bool,
+                       meter: _Meter, forced: int = 0, candidates_from: int = 0,
+                       stop_at: int | None = None) -> tuple[int, int] | None:
     """Minimum size of a dominating set containing ``forced`` whose further
-    members all have id >= candidates_from, with one such set as a mask.
+    members all have id >= candidates_from, with one such set as a mask; with
+    ``stable``, of a maximal stable set containing the stable set ``forced``.
     ``stop_at`` turns the search into a feasibility test: return the first
     set of at most that size.
 
-    Each node branches on the members of N[u] for the least undominated u;
-    the branch for v takes the sets containing v and none of the earlier
-    siblings, so no set is reached twice."""
-    best: tuple[int, int] | None = None
-    start_dom = 0
-    for v in _bits(forced):
-        start_dom |= closed[v]
-    max_cover = max((c.bit_count() for c in closed), default=1) or 1
-
-    def walk(dominated: int, chosen: int, chosen_count: int, banned: int) -> bool:
-        """Search below one node; True once ``stop_at`` is met."""
-        nonlocal best
-        meter.tick()
-        if dominated == full:
-            if best is None or chosen_count < best[0]:
-                best = (chosen_count, chosen)
-            return stop_at is not None and best[0] <= stop_at
-        remaining = (full & ~dominated).bit_count()
-        lower = chosen_count + -(-remaining // max_cover)
-        if best is not None and lower >= best[0]:
-            return False
-        if stop_at is not None and lower > stop_at:
-            return False
-        u = ((full & ~dominated) & -(full & ~dominated)).bit_length() - 1
-        # every dominating set must cover u with something from N[u]
-        for v in _bits(closed[u] & ~banned):
-            if walk(dominated | closed[v], chosen | 1 << v, chosen_count + 1, banned):
-                return True
-            banned |= 1 << v
-        return False
-
-    walk(start_dom, forced, forced.bit_count(), ((1 << candidates_from) - 1) | forced)
-    return best
-
-
-def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
-    """Domination number with the lexicographically least minimum dominating set."""
-    if g.n < 1:
-        raise ValueError("gamma requires at least one vertex")
-    n = g.n
-    adjm = adjacency_masks(g)
-    closed = [adjm[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    meter = _Meter("gamma", budget)
-    found = _gamma_value(closed, full, meter)
-    assert found is not None
-    value, known = found
-    # lexicographic fix pass: grow the witness smallest-vertex-first, keeping
-    # a completion of the optimal size reachable at every step.  ``known`` is
-    # such a completion, so its least new member is feasible without a search
-    # and only the ids below it need one
-    chosen = 0
-    next_candidate = 0
-    for _ in range(value):
-        rest = known & ~chosen
-        pick = (rest & -rest).bit_length() - 1
-        for v in range(next_candidate, pick):
-            trial = chosen | (1 << v)
-            found = _gamma_value(closed, full, meter, forced=trial,
-                                 candidates_from=v + 1, stop_at=value)
-            if found is not None and found[0] <= value:
-                pick, known = v, found[1]
-                break
-        chosen |= 1 << pick
-        next_candidate = pick + 1
-    return value, _mask_to_set(chosen)
-
-
-def _ind_dom_value(closed: list[int], full: int, max_cover: int, meter: _Meter,
-                   forced: int = 0, candidates_from: int = 0,
-                   stop_at: int | None = None) -> tuple[int, int] | None:
-    """Minimum size of a maximal stable set containing the stable set
-    ``forced`` whose further members all have id >= candidates_from, with one
-    such set as a mask.  ``stop_at`` turns the search into a feasibility
-    test: return the first set of at most that size.
-
-    A maximal stable set is a stable dominating set.  Each node branches on
-    the still undominated members of N[u] for the least undominated u: an
-    undominated vertex is adjacent to no chosen one, so the chosen set stays
-    stable, and every stable set extending the chosen one that dominates u
-    holds such a member.  The branch for v takes the sets containing v and
-    none of the earlier siblings, so no set is reached twice.  The search
+    Each node branches on the members of N[u] for the least undominated u:
+    every dominating set covers u with one of them.  With ``stable`` only the
+    still undominated members branch: an undominated vertex is adjacent to no
+    chosen one, so the chosen set stays stable, and a stable dominating set
+    is a maximal stable set.  The branch for v takes the sets containing v
+    and none of the earlier siblings, so no set is reached twice.  The search
     runs depth-first, least candidate first, on an explicit stack, and stops
-    expanding a node once its bound meets the incumbent."""
+    expanding a node once its cover bound meets the incumbent."""
     dominated = 0
     for v in _bits(forced):
         dominated |= closed[v]
@@ -580,7 +505,7 @@ def _ind_dom_value(closed: list[int], full: int, max_cover: int, meter: _Meter,
                     and (stop_at is None or lower <= stop_at)):
                 u = (und & -und).bit_length() - 1
                 stack.append([dominated, chosen, count, lower,
-                              closed[u] & und & ~banned, banned])
+                              closed[u] & (und if stable else full) & ~banned, banned])
         while stack:
             frame = stack[-1]
             cands = frame[4]
@@ -598,40 +523,57 @@ def _ind_dom_value(closed: list[int], full: int, max_cover: int, meter: _Meter,
             return best
 
 
-def ind_dom(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
-    """Independent domination number with the lexicographically least
-    smallest inclusion-maximal stable set."""
+def _least_dominating_set(g: Graph, budget: SolverBudget,
+                          stable: bool) -> tuple[int, VertexSet]:
+    """Smallest dominating set (with ``stable``, smallest maximal stable set)
+    that is lexicographically least, found by :func:`_dominating_search`."""
+    operation = "ind_dom" if stable else "gamma"
     if g.n < 1:
-        raise ValueError("ind_dom requires at least one vertex")
+        raise ValueError(f"{operation} requires at least one vertex")
     n = g.n
     adjm = adjacency_masks(g)
     closed = [adjm[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     max_cover = max(c.bit_count() for c in closed)
-    meter = _Meter("ind_dom", budget)
-    found = _ind_dom_value(closed, full, max_cover, meter)
+    meter = _Meter(operation, budget)
+    found = _dominating_search(closed, full, max_cover, stable, meter)
     assert found is not None
     value, known = found
-    # lexicographic fix pass, as in gamma; a vertex adjacent to a chosen one
-    # cannot join the stable set, so it needs no search
-    chosen = dominated = 0
+    # lexicographic fix pass: grow the witness smallest-vertex-first, keeping
+    # a completion of the optimal size reachable at every step.  ``known`` is
+    # such a completion, so its least new member is feasible without a search
+    # and only the ids below it need one.  With ``stable``, a vertex adjacent
+    # to a chosen one cannot join the set, so it needs no search either
+    chosen = blocked = 0
     next_candidate = 0
     for _ in range(value):
         rest = known & ~chosen
         pick = (rest & -rest).bit_length() - 1
         for v in range(next_candidate, pick):
-            if dominated >> v & 1:
+            if blocked >> v & 1:
                 continue
-            found = _ind_dom_value(closed, full, max_cover, meter,
-                                   forced=chosen | (1 << v), candidates_from=v + 1,
-                                   stop_at=value)
+            found = _dominating_search(closed, full, max_cover, stable, meter,
+                                       forced=chosen | (1 << v), candidates_from=v + 1,
+                                       stop_at=value)
             if found is not None and found[0] <= value:
                 pick, known = v, found[1]
                 break
         chosen |= 1 << pick
-        dominated |= closed[pick]
+        if stable:
+            blocked |= closed[pick]
         next_candidate = pick + 1
     return value, _mask_to_set(chosen)
+
+
+def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
+    """Domination number with the lexicographically least minimum dominating set."""
+    return _least_dominating_set(g, budget, stable=False)
+
+
+def ind_dom(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
+    """Independent domination number with the lexicographically least
+    smallest inclusion-maximal stable set."""
+    return _least_dominating_set(g, budget, stable=True)
 
 
 # ---------------------------------------------------------------------------

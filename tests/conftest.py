@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -6,13 +7,13 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import Graph, build_graph, iter_vertex_pairs
+from squarestable.graphs import Graph, build_graph
 
 
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8, connected: bool = False) -> Graph:
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = list(iter_vertex_pairs(n))
+    pairs = list(combinations(range(n), 2))
     if pairs:
         chosen = draw(st.sets(st.sampled_from(pairs)))
     else:

@@ -88,6 +88,19 @@ def test_analyze_edgelist_input():
     assert json.loads(out)["graph6"] == "Ch"
 
 
+def test_analyze_edgelist_from_file(tmp_path):
+    src = tmp_path / "p4.txt"
+    src.write_text("4 3\n0 1\n1 2\n2 3\n")
+    # development mode reports a file handle left open as a ResourceWarning
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "squarestable.cli", "analyze",
+         "--format", "edgelist", "--input", str(src)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["graph6"] == "Ch"
+    assert proc.stderr == ""
+
+
 def test_generate_deterministic_and_counted():
     args = ["generate", "--family", "trees:5:10", "--seed", "7"]
     code, out, _ = run_cli(args)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,7 +9,7 @@ from squarestable.graphs import (GraphError, adjacency_masks, build_graph,
                                  components, delete_closed_neighborhood,
                                  disjoint_union, distances, girth,
                                  girth_at_least, is_connected,
-                                 is_cycle_of_length, is_tree, iter_vertex_pairs,
+                                 is_cycle_of_length, is_tree,
                                  pendant_edges, pendant_vertices, square)
 from squarestable.named_graphs import (complete, complete_bipartite, cycle,
                                        empty_graph, paw, path, star)
@@ -182,7 +184,7 @@ def test_mask_routes_match_slow_routes_exhaustively():
         assert is_connected(g) == (len(comps) <= 1)
 
         d = distances(g)
-        assert square(g).edges == {(u, v) for u, v in iter_vertex_pairs(g.n)
+        assert square(g).edges == {(u, v) for u, v in combinations(range(g.n), 2)
                                    if d[u][v] is not None and d[u][v] <= 2}
 
         classes = sorted({tuple(v for v in range(g.n) if d[s][v] is not None)

@@ -202,25 +202,27 @@ def test_ind_dom_is_lex_least_minimum_maximal_stable_set_exhaustively():
             _ind_dom_matches_references(square(g))
 
 
-def test_ind_dom_matches_references_on_random_graphs():
+def test_gamma_and_ind_dom_match_references_on_random_graphs():
     for n in range(12, 19):
         for p in (0.15, 0.3, 0.5, 0.7):
             for g in generate(GraphFamily.gnp(n, p, 3, seed=n)):
+                assert gamma(g) == oracles.gamma_lex_oracle(g), g
                 _ind_dom_matches_references(g)
 
 
 @pytest.mark.parametrize("build", [
     "path(2500)", "cycle(2501)", "disjoint_union(path(1500), cycle(5))"])
-def test_ind_dom_deep_inputs_end_within_budget(build):
+@pytest.mark.parametrize("solver", ["gamma", "ind_dom"])
+def test_ind_dom_deep_inputs_end_within_budget(solver, build):
     # each run in its own interpreter under a wall-clock limit: a recursive
     # search would raise RecursionError, an unbounded one would hang
     code = (
         "from squarestable.graphs import disjoint_union\n"
-        "from squarestable.invariants import BudgetExhausted, SolverBudget, ind_dom\n"
+        f"from squarestable.invariants import BudgetExhausted, SolverBudget, {solver}\n"
         "from squarestable.named_graphs import cycle, path\n"
         f"g = {build}\n"
         "try:\n"
-        "    print('value', ind_dom(g, SolverBudget(max_nodes=200_000, max_seconds=10))[0])\n"
+        f"    print('value', {solver}(g, SolverBudget(max_nodes=200_000, max_seconds=10))[0])\n"
         "except BudgetExhausted as exc:\n"
         "    print('budget', exc.operation)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
