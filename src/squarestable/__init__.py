@@ -4,10 +4,10 @@ Konig-Egervary square-stable graphs."""
 from .codec import Graph6Error, decode_graph6, encode_graph6, parse_edge_list
 from .families import GraphFamily, generate, tree_from_pruefer
 from .graphs import (Edge, Graph, GraphError, VertexSet, adjacency_masks,
-                     build_graph, components, delete_closed_neighborhood,
-                     disjoint_union, distances, girth, girth_at_least,
-                     induced_subgraph, is_connected, is_cycle_of_length,
-                     is_tree, pendant_edges, pendant_vertices, square)
+                     components, delete_closed_neighborhood, disjoint_union,
+                     distances, girth, girth_at_least, induced_subgraph,
+                     is_connected, is_cycle_of_length, is_tree, pendant_edges,
+                     pendant_vertices, square)
 from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_CLAIMS, Claim,
                       TheoremVerdict, reverify_counterexample, run_claim,
                       run_negative_controls)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graphs import Graph, adjacency_masks, build_graph
+from .graphs import Graph, _bits, adjacency_masks
 
 _MAX_N = (1 << 36) - 1
+#: Edge-list order cap (graph6's 4-byte maximum): no unbounded allocation.
+_MAX_EDGE_LIST_N = 258047
 
 
 class Graph6Error(ValueError):
@@ -96,18 +98,18 @@ def decode_graph6(s: str) -> Graph:
             len(s))
     if len(body) > need:
         raise Graph6Error("trailing data after the adjacency section", start + need)
-    edges = []
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            ch = ord(body[idx // 6]) - 63
-            if (ch >> (5 - idx % 6)) & 1:
-                edges.append((row, col))
-            idx += 1
     # padding bits beyond the triangle must be zero
     if pair_count and ord(body[-1]) - 63 & ((1 << (-pair_count % 6)) - 1):
         raise Graph6Error("nonzero padding bits", start + need - 1)
-    return build_graph(n, edges)
+    # column col, reversed, is the low col bits of col's adjacency mask
+    bits = "".join([format(ord(ch) - 63, "06b") for ch in body])
+    masks = [0] * n
+    for col in range(1, n):
+        start = col * (col - 1) // 2
+        masks[col] = low = int(bits[start:start + col][::-1], 2)
+        for row in _bits(low):
+            masks[row] |= 1 << col
+    return Graph._from_masks(masks)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -122,6 +124,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("line 1: header fields must be integers") from None
+    if not 0 <= n <= _MAX_EDGE_LIST_N:
+        raise ValueError(f"line 1: order {n} outside 0..{_MAX_EDGE_LIST_N}")
     edges = []
     for i in range(m):
         lineno = i + 2
@@ -140,4 +144,4 @@ def parse_edge_list(text: str) -> Graph:
     for extra_no, extra in enumerate(lines[m + 1:], m + 2):
         if extra.strip():
             raise ValueError(f"line {extra_no}: unexpected trailing content")
-    return build_graph(n, edges)
+    return Graph(n, edges)

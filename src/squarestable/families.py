@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .codec import decode_graph6, graph6_strings
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, is_connected
 
 
 def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
@@ -23,7 +23,7 @@ def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
     if len(seq) != max(n - 2, 0):
         raise ValueError(f"sequence length must be {max(n - 2, 0)} for n={n}")
     if n == 1:
-        return build_graph(1, [])
+        return Graph(1, [])
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -41,7 +41,7 @@ def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,13 @@ def _raw_stream(family: GraphFamily) -> Iterator[Graph]:
     if family.kind == "exhaustive":
         pairs = list(combinations(range(family.n), 2))
         for mask in range(1 << len(pairs)):
-            yield build_graph(
+            yield Graph(
                 family.n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
     elif family.kind == "gnp":
         rng = random.Random(family.seed)
         pairs = list(combinations(range(family.n), 2))
         for _ in range(family.count):
-            yield build_graph(family.n, (e for e in pairs if rng.random() < family.p))
+            yield Graph(family.n, (e for e in pairs if rng.random() < family.p))
     elif family.kind == "trees":
         rng = random.Random(family.seed)
         for _ in range(family.count):

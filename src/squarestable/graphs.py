@@ -1,10 +1,10 @@
 """Immutable simple undirected graphs and purely structural queries.
 
 Vertices are dense integer ids ``0 .. n-1``.  A :class:`Graph` is a value:
-equality and hashing go through ``(n, edge set)``, and every derived object
-(square, induced subgraph, component) is a fresh value, so graphs can be
-shared freely across threads and cached without defensive copies.  Each graph
-stores its adjacency bitmasks once; the structural queries here run on them.
+equality and hashing go through ``(n, adjacency masks)``, and every derived
+object (square, induced subgraph, component) is a fresh value built from masks,
+so graphs can be shared freely across threads and cached without defensive
+copies.  The masks are the only stored representation; queries run on them.
 """
 
 from __future__ import annotations
@@ -22,57 +22,65 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1`` with set semantics.
 
-    The adjacency bitmasks are the stored representation: bit ``u`` of
-    ``_masks[v]`` is set exactly when ``uv`` is an edge; neighbor sets are
-    derived from them.  ``_facts`` is a private memo for values
+    The adjacency bitmasks are the only stored representation: bit ``u`` of
+    ``_masks[v]`` is set exactly when ``uv`` is an edge; neighbor sets and the
+    edge set are derived from them.  ``_facts`` is a private memo for values
     computed from the graph (see :func:`memoized`); it never takes part in
     equality or hashing.
     """
 
-    __slots__ = ("n", "edges", "_masks", "_facts")
+    __slots__ = ("n", "_masks", "_facts")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        norm = set()
         masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            norm.add((u, v) if u < v else (v, u))
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_masks", tuple(masks))
+        self._store(tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, masks: Iterable[int]) -> Graph:
+        """Graph with these masks; the caller ensures they are a simple graph's."""
+        g = object.__new__(cls)
+        g._store(tuple(masks))
+        return g
+
+    def _store(self, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", len(masks))
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
 
-    def vertices(self) -> range:
-        return range(self.n)
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """Edge set, each edge normalized to ``(u, v)`` with ``u < v``."""
+        return frozenset((u, v) for u, m in enumerate(self._masks)
+                         for v in _bits(m >> u + 1 << u + 1))
 
     def neighbors(self, v: int) -> VertexSet:
         return frozenset(_bits(self._masks[v]))
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        return self.neighbors(v) | {v}
 
     def degree(self, v: int) -> int:
         return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        """True when ``uv`` is an edge; ids outside ``0..n-1`` have none."""
+        return 0 <= u < self.n and 0 <= v < self.n and self._masks[u] >> v & 1 == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
-                and self.n == other.n and self.edges == other.edges)
+                and self.n == other.n and self._masks == other._masks)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -120,11 +128,6 @@ def _reach(masks: tuple[int, ...], seed: int) -> int:
     return seen
 
 
-def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
-    """Construct a canonical :class:`Graph`; duplicate edges collapse silently."""
-    return Graph(n, edge_list)
-
-
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Neighborhoods as bitmasks, the working representation of the solvers.
 
@@ -157,19 +160,13 @@ def distances(g: Graph) -> list[list[int | None]]:
 def square(g: Graph) -> Graph:
     """Second power: same vertices, plus an edge for every distance-2 pair."""
     masks = g._masks
-    edges = []
+    out = []
     for v, m in enumerate(masks):
         closure = m
         for u in _bits(m):
             closure |= masks[u]
-        w = v + 1
-        above = closure >> w
-        while above:
-            if above & 1:
-                edges.append((v, w))
-            above >>= 1
-            w += 1
-    return Graph(g.n, edges)
+        out.append(closure & ~(1 << v))
+    return Graph._from_masks(out)
 
 
 def pendant_vertices(g: Graph) -> VertexSet:
@@ -200,24 +197,27 @@ def girth(g: Graph) -> int | None:
     """
     masks = g._masks
     best: int | None = None
-    for u, v in g.edges:
-        # shortest cycle through uv = dist(u, v) in G - uv, plus the edge;
-        # BFS layers from u stop once they cannot beat the best cycle
-        target = 1 << v
-        seen = frontier = 1 << u
-        d = 0
-        while frontier and (best is None or d + 2 < best):
-            step = 0
-            for x in _bits(frontier):
-                step |= masks[x]
-            if d == 0:
-                step &= ~target
-            d += 1
-            if step & target:
-                best = d + 1
-                break
-            frontier = step & ~seen
-            seen |= frontier
+    for u, m in enumerate(masks):
+        later = m >> u + 1 << u + 1  # the neighbors v > u
+        while later:
+            # shortest cycle through uv = dist(u, v) in G - uv, plus the edge;
+            # BFS layers from u stop once they cannot beat the best cycle
+            target = later & -later  # bit v
+            later ^= target
+            seen = frontier = 1 << u
+            d = 0
+            while frontier and (best is None or d + 2 < best):
+                step = 0
+                for x in _bits(frontier):
+                    step |= masks[x]
+                if d == 0:
+                    step &= ~target
+                d += 1
+                if step & target:
+                    best = d + 1
+                    break
+                frontier = step & ~seen
+                seen |= frontier
     return best
 
 
@@ -230,17 +230,14 @@ def girth_at_least(g: Graph, k: int) -> bool:
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``keep`` plus the map from new ids to original ids."""
     old_ids = tuple(sorted(set(keep)))
+    keep_mask = 0
     for v in old_ids:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-    pos = {old: new for new, old in enumerate(old_ids)}
-    keep_mask = 0
-    for v in old_ids:
         keep_mask |= 1 << v
-    masks = g._masks
-    edges = [(new, pos[u]) for new, v in enumerate(old_ids)
-             for u in _bits(masks[v] & keep_mask) if u > v]
-    return Graph(len(old_ids), edges), old_ids
+    bit = {old: 1 << new for new, old in enumerate(old_ids)}
+    return Graph._from_masks(sum(bit[u] for u in _bits(g._masks[v] & keep_mask))
+                             for v in old_ids), old_ids
 
 
 def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
@@ -264,7 +261,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and is_connected(g) and len(g.edges) == g.n - 1
+    return (g.n >= 1 and is_connected(g)
+            and sum(m.bit_count() for m in g._masks) == 2 * (g.n - 1))
 
 
 def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
@@ -283,9 +281,8 @@ def is_cycle_of_length(g: Graph, k: int) -> bool:
 
 def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union; vertex ids of later arguments are shifted upward."""
-    n = 0
-    edges: list[Edge] = []
+    masks: list[int] = []
     for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return Graph(n, edges)
+        shift = len(masks)
+        masks.extend(m << shift for m in g._masks)
+    return Graph._from_masks(masks)

@@ -361,7 +361,7 @@ def _violation_girth6(g, budget):
 
 
 def _is_complete_graph(g):
-    return len(g.edges) == g.n * (g.n - 1) // 2
+    return all(g.degree(v) == g.n - 1 for v in range(g.n))
 
 
 def _applies_vwc_basics(g, budget):

@@ -193,20 +193,17 @@ def enumerate_maximal_stable_sets(
     return sets
 
 
-def omega_family(
-    g: Graph,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    cap: int = OMEGA_ENUMERATION_CAP,
-) -> list[VertexSet]:
+def omega_family(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[VertexSet]:
     """All maximum stable sets, in lexicographic order.
 
     The family can be exponentially large, so materializing it is only
-    supported up to ``cap`` vertices.
+    supported up to ``OMEGA_ENUMERATION_CAP`` vertices.
     """
     if g.n < 1:
         raise ValueError("omega_family requires at least one vertex")
-    if g.n > cap:
-        raise ValueError(f"omega_family materializes only up to {cap} vertices, got {g.n}")
+    if g.n > OMEGA_ENUMERATION_CAP:
+        raise ValueError(f"omega_family materializes only up to "
+                         f"{OMEGA_ENUMERATION_CAP} vertices, got {g.n}")
     # the maximum stable sets are the maximal ones of the largest size
     meter = _Meter("omega_family", budget)
     masks = list(_maximal_stable_masks(g, meter))
@@ -354,20 +351,20 @@ def count_perfect_matchings(g: Graph, limit: int | None = None,
     full = (1 << n) - 1
     meter = _Meter("count_perfect_matchings", budget)
     count = 0
-
-    def rec(used: int) -> bool:
-        nonlocal count
+    # a node matches the least free vertex to each free neighbor; its children
+    # go on the stack least partner on top, so nodes pop in depth-first order
+    stack = [0]
+    while stack:
+        used = stack.pop()
         meter.tick()
         if used == full:
             count += 1
-            return limit is not None and count >= limit
-        v = ((~used) & -(~used)).bit_length() - 1
-        for w in _bits(adj[v] & ~used):
-            if rec(used | (1 << v) | (1 << w)):
-                return True
-        return False
-
-    rec(0)
+            if limit is not None and count >= limit:
+                break
+        else:
+            low = ~used & (used + 1)
+            partners = list(_bits(adj[low.bit_length() - 1] & ~used))
+            stack.extend(used | low | 1 << w for w in reversed(partners))
     return count
 
 

@@ -11,35 +11,35 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, build_graph
+from .graphs import Graph
 
 
 def empty_graph(n: int) -> Graph:
-    return build_graph(n, [])
+    return Graph(n, [])
 
 
 def path(n: int) -> Graph:
     """P_n with vertices 0..n-1 in path order."""
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    return build_graph(n, combinations(range(n), 2))
+    return Graph(n, combinations(range(n), 2))
 
 
 def star(leaves: int) -> Graph:
     """K_{1,leaves}: center 0, leaves 1..leaves."""
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def corona(g: Graph) -> Graph:
@@ -49,7 +49,7 @@ def corona(g: Graph) -> Graph:
     square-stable and Konig-Egervary regardless of g.
     """
     edges = list(g.edges) + [(v, g.n + v) for v in range(g.n)]
-    return build_graph(2 * g.n, edges)
+    return Graph(2 * g.n, edges)
 
 
 def comb(n: int) -> Graph:
@@ -77,7 +77,7 @@ def double_star(a: int, b: int) -> Graph:
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
-    return build_graph(2 + a + b, edges)
+    return Graph(2 + a + b, edges)
 
 
 def tadpole(cycle_len: int, tail: int) -> Graph:
@@ -88,7 +88,7 @@ def tadpole(cycle_len: int, tail: int) -> Graph:
     for i in range(tail):
         edges.append((prev, cycle_len + i))
         prev = cycle_len + i
-    return build_graph(cycle_len + tail, edges)
+    return Graph(cycle_len + tail, edges)
 
 
 def paw() -> Graph:
@@ -105,7 +105,7 @@ def c5_with_two_pendants() -> Graph:
 
     Non-bipartite yet Konig-Egervary (alpha 4 + mu 3 = 7).
     """
-    return build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (0, 6)])
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (0, 6)])
 
 
 def triangle_with_tail() -> Graph:
@@ -119,7 +119,7 @@ def triangle_with_tail() -> Graph:
 
 def k4_with_tail() -> Graph:
     """K4 on 0..3 with the tail 3-4-5; square-stable."""
-    return build_graph(6, list(combinations(range(4), 2)) + [(3, 4), (4, 5)])
+    return Graph(6, list(combinations(range(4), 2)) + [(3, 4), (4, 5)])
 
 
 def clique_chain_11() -> Graph:
@@ -128,13 +128,13 @@ def clique_chain_11() -> Graph:
     Bottom path 0..5; pendant 6 on 0; K4 on {1,2,7,8}; triangle {3,4,9};
     pendant 10 on 5.  Square-stable: every vertex lies in exactly one simplex.
     """
-    return build_graph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 7), (1, 8),
-                            (7, 8), (2, 8), (3, 9), (0, 6), (1, 7), (4, 9), (5, 10)])
+    return Graph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 7), (1, 8),
+                      (7, 8), (2, 8), (3, 9), (0, 6), (1, 7), (4, 9), (5, 10)])
 
 
 def c4_with_tails() -> Graph:
     """C4 on {1,2,6,5} with the tail 4-0-1 and the pendant 3 on 2; not square-stable."""
-    return build_graph(7, [(0, 1), (1, 2), (2, 3), (0, 4), (5, 6), (1, 5), (2, 6)])
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (0, 4), (5, 6), (1, 5), (2, 6)])
 
 
 def braced_ladder() -> Graph:
@@ -145,8 +145,8 @@ def braced_ladder() -> Graph:
     vertices are {1, 3, 4, 7} but only {1, 4} survive in the core of the
     square (each is the lone simplicial vertex of its simplex).
     """
-    return build_graph(8, [(0, 4), (1, 5), (2, 6), (3, 7), (0, 5), (1, 6),
-                           (2, 7), (5, 6), (2, 3)])
+    return Graph(8, [(0, 4), (1, 5), (2, 6), (3, 7), (0, 5), (1, 6),
+                     (2, 7), (5, 6), (2, 3)])
 
 
 def fused_triangles() -> Graph:
@@ -156,8 +156,8 @@ def fused_triangles() -> Graph:
     set {3,4}: a graph whose square has exactly one maximum stable set without
     being square-stable.
     """
-    return build_graph(6, [(0, 1), (0, 3), (0, 5), (0, 2), (1, 3), (1, 2),
-                           (2, 5), (2, 4)])
+    return Graph(6, [(0, 1), (0, 3), (0, 5), (0, 2), (1, 3), (1, 2),
+                     (2, 5), (2, 4)])
 
 
 def twin_triangle_path() -> Graph:
@@ -166,8 +166,8 @@ def twin_triangle_path() -> Graph:
     Square-stable with a unique perfect matching that is forced to use the
     internal edge 2-3, and not Konig-Egervary (alpha 4 + mu 5 = 9 < 10).
     """
-    return build_graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 7),
-                            (3, 8), (0, 6), (1, 7), (4, 8), (5, 9)])
+    return Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 7),
+                      (3, 8), (0, 6), (1, 7), (4, 8), (5, 9)])
 
 
 def c4_with_two_pendants() -> Graph:
@@ -176,7 +176,7 @@ def c4_with_two_pendants() -> Graph:
     Very well covered and bipartite but not square-stable, so the tree
     equivalences do not extend to bipartite graphs.
     """
-    return build_graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (4, 5)])
+    return Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (4, 5)])
 
 
 def diamond_with_pendant() -> Graph:
@@ -186,7 +186,7 @@ def diamond_with_pendant() -> Graph:
     Konig-Egervary: matching number equal to stability number does not force
     the Konig-Egervary property.
     """
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4)])
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4)])
 
 
 #: Gallery keyed by slug, the form the command line and tests consume.

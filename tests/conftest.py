@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import Graph, build_graph
+from squarestable.graphs import Graph
 
 
 @st.composite
@@ -18,7 +18,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 8, connected: bool = False) -> Gra
         chosen = draw(st.sets(st.sampled_from(pairs)))
     else:
         chosen = set()
-    g = build_graph(n, chosen)
+    g = Graph(n, chosen)
     if connected and n > 1:
         # stitch components together along a random spanning chain
         from squarestable.graphs import components
@@ -31,7 +31,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 8, connected: bool = False) -> Gra
             if prev is not None:
                 extra.append((prev, anchor))
             prev = anchor
-        g = build_graph(n, set(g.edges) | set(extra))
+        g = Graph(n, set(g.edges) | set(extra))
     return g
 
 
@@ -39,3 +39,13 @@ def labeled_graphs(max_n: int):
     """Every labeled graph on 0..max_n vertices."""
     for n in range(max_n + 1):
         yield from generate(GraphFamily.exhaustive(n))
+
+
+def labeled_edge_lists(max_n: int):
+    """``(n, edge list)`` of every labeled graph on 0..max_n vertices, in the
+    order of :func:`labeled_graphs`: bit i of the family's pair bitmask picks
+    the i-th pair of ``combinations(range(n), 2)``."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield n, [pair for i, pair in enumerate(pairs) if mask >> i & 1]

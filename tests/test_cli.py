@@ -217,6 +217,16 @@ def test_analyze_edgelist_error_exit_2():
     assert "line 2" in err
 
 
+def test_analyze_edgelist_huge_order_exit_2(tmp_path):
+    # an order far past memory must be a parse error, not a MemoryError
+    src = tmp_path / "huge.txt"
+    src.write_text("1000000000000000000 0\n")
+    code, out, err = run_cli(["analyze", "--format", "edgelist", "--input", str(src)])
+    assert code == 2
+    assert out == ""
+    assert "line 1" in err and "Traceback" not in err
+
+
 def test_module_run_writes_nothing_to_stderr():
     code, out, err = run_cli(["--help"])
     assert code == 0 and "verify" in out

@@ -5,7 +5,7 @@ from conftest import graphs, labeled_graphs
 from squarestable.codec import (Graph6Error, decode_graph6, encode_graph6,
                                 parse_edge_list)
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import build_graph
+from squarestable.graphs import Graph
 from squarestable.named_graphs import GALLERY, complete, path
 
 
@@ -13,11 +13,11 @@ def test_reference_values():
     # cross-checked against an independent codec implementation
     assert encode_graph6(complete(1)) == "@"
     assert encode_graph6(path(4)) == "Ch"
-    assert encode_graph6(build_graph(0, [])) == "?"
-    assert encode_graph6(build_graph(4, [])) == "C?"
+    assert encode_graph6(Graph(0, [])) == "?"
+    assert encode_graph6(Graph(4, [])) == "C?"
     assert decode_graph6("Ch") == path(4)
     assert decode_graph6("@") == complete(1)
-    assert decode_graph6("C?") == build_graph(4, [])
+    assert decode_graph6("C?") == Graph(4, [])
 
 
 def test_reference_implementation_cross_check():
@@ -27,7 +27,7 @@ def test_reference_implementation_cross_check():
     # that occurs (0, 1, 3, 4), and on both sides of the 62/63 order-field
     # boundary
     boundary = [g for n in [*range(7, 19), *range(60, 67)]
-                for g in (build_graph(n, []), complete(n),
+                for g in (Graph(n, []), complete(n),
                           *generate(GraphFamily.gnp(n, 0.5, 3, seed=n)))]
     for g in [*GALLERY.values(), *labeled_graphs(6), *boundary]:
         ref = networkx.Graph()
@@ -38,7 +38,7 @@ def test_reference_implementation_cross_check():
 
 
 def test_large_order_round_trip():
-    g = build_graph(70, [(0, 69), (1, 2), (33, 44)])
+    g = Graph(70, [(0, 69), (1, 2), (33, 44)])
     s = encode_graph6(g)
     assert s.startswith("~")
     assert decode_graph6(s) == g
@@ -75,6 +75,11 @@ def test_parse_edge_list_examples():
         parse_edge_list("3 1\n0 1\nleftover")
     with pytest.raises(ValueError, match="ended early"):
         parse_edge_list("3 2\n0 1")
+    # orders are capped at the largest 4-byte graph6 order
+    assert parse_edge_list("258047 1\n0 258046").n == 258047
+    for head in ("258048 0", "-1 0"):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_edge_list(head)
 
 
 @settings(max_examples=300, deadline=None)

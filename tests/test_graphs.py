@@ -3,9 +3,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, labeled_graphs
+from conftest import graphs, labeled_edge_lists, labeled_graphs
 from oracles import floyd_warshall_oracle, square_edges_oracle
-from squarestable.graphs import (GraphError, adjacency_masks, build_graph,
+from squarestable.codec import decode_graph6, encode_graph6
+from squarestable.graphs import (Graph, GraphError, adjacency_masks,
                                  components, delete_closed_neighborhood,
                                  disjoint_union, distances, girth,
                                  girth_at_least, is_connected,
@@ -15,28 +16,28 @@ from squarestable.named_graphs import (complete, complete_bipartite, cycle,
                                        empty_graph, paw, path, star)
 
 
-def test_build_graph_normalizes():
-    g = build_graph(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
+def test_graph_normalizes():
+    g = Graph(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
     assert g.edges == frozenset({(0, 1), (2, 3)})
-    assert g == build_graph(4, [(1, 0), (3, 2)])
+    assert g == Graph(4, [(1, 0), (3, 2)])
 
 
-def test_build_graph_duplicate_edges_collapse():
-    g = build_graph(4, [(0, 1), (0, 1)])
+def test_graph_duplicate_edges_collapse():
+    g = Graph(4, [(0, 1), (0, 1)])
     assert len(g.edges) == 1
     assert g.degree(2) == g.degree(3) == 0
 
 
-def test_build_graph_rejects_self_loop():
+def test_graph_rejects_self_loop():
     with pytest.raises(GraphError, match="self-loop at vertex 2"):
-        build_graph(3, [(2, 2)])
+        Graph(3, [(2, 2)])
 
 
-def test_build_graph_rejects_out_of_range():
+def test_graph_rejects_out_of_range():
     with pytest.raises(GraphError, match=r"\(0, 3\)"):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
-        build_graph(0, [(0, 1)])
+        Graph(0, [(0, 1)])
 
 
 def test_graph_is_immutable():
@@ -90,7 +91,7 @@ def test_components_shapes():
 
 
 def test_components_relabeling_recovers_edges():
-    g = build_graph(6, [(5, 3), (3, 1), (0, 2)])
+    g = Graph(6, [(5, 3), (3, 1), (0, 2)])
     for comp, ids in components(g):
         for u, v in comp.edges:
             assert g.has_edge(ids[u], ids[v])
@@ -167,18 +168,20 @@ def test_adjacent_pendants_only_in_k2_components(g):
 
 def test_mask_routes_match_slow_routes_exhaustively():
     # every labeled graph on at most 6 vertices: each mask-based query
-    # against a route built from the edge set or the distance matrix
-    for g in labeled_graphs(6):
+    # against a route built from the family's pair bitmask or the distance
+    # matrix
+    for g, (n, edge_list) in zip(labeled_graphs(6), labeled_edge_lists(6), strict=True):
+        assert g.n == n
         masks = [0] * g.n
         nbrs = [set() for _ in range(g.n)]
-        for u, v in g.edges:
+        for u, v in edge_list:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
             nbrs[u].add(v)
             nbrs[v].add(u)
         assert adjacency_masks(g) == tuple(masks)
-        assert [g.neighbors(v) for v in g.vertices()] == nbrs
-        assert [g.degree(v) for v in g.vertices()] == [len(a) for a in nbrs]
+        assert [g.neighbors(v) for v in range(n)] == nbrs
+        assert [g.degree(v) for v in range(n)] == [len(a) for a in nbrs]
 
         comps = components(g)
         assert is_connected(g) == (len(comps) <= 1)
@@ -192,8 +195,66 @@ def test_mask_routes_match_slow_routes_exhaustively():
         assert [ids for _, ids in comps] == classes
         for comp, ids in comps:
             pos = {old: new for new, old in enumerate(ids)}
-            assert comp == build_graph(len(ids), [(pos[u], pos[v]) for u, v in g.edges
-                                                  if u in pos and v in pos])
+            assert comp == Graph(len(ids), [(pos[u], pos[v]) for u, v in edge_list
+                                            if u in pos and v in pos])
+
+
+def _relabel(edge_list, ids):
+    pos = {old: new for new, old in enumerate(ids)}
+    return [(pos[u], pos[v]) for u, v in edge_list if u in pos and v in pos]
+
+
+def _assert_same_graph(got, n, edge_list):
+    want = Graph(n, edge_list)
+    assert got == want and hash(got) == hash(want)
+    pairs = {(min(u, v), max(u, v)) for u, v in edge_list}
+    assert got.edges == want.edges == pairs
+    assert not got.has_edge(-1, 0) and not got.has_edge(0, n)
+    for u in range(n):
+        assert not got.has_edge(u, u)
+        for v in range(n):
+            assert got.has_edge(u, v) == ((min(u, v), max(u, v)) in pairs)
+
+
+def test_mask_producers_equal_edge_list_graphs_exhaustively():
+    # every labeled graph on at most 5 vertices: each producer that builds
+    # its result from masks against Graph(n, edges) on an edge list made
+    # here from the pair bitmask, never from the derived ``edges``
+    for n, edge_list in labeled_edge_lists(5):
+        g = Graph(n, edge_list)
+        _assert_same_graph(g, n, edge_list)
+        closed = [{v} for v in range(n)]
+        for u, v in edge_list:
+            closed[u].add(v)
+            closed[v].add(u)
+
+        _assert_same_graph(decode_graph6(encode_graph6(g)), n, edge_list)
+        _assert_same_graph(disjoint_union(g, g), 2 * n,
+                           edge_list + [(u + n, v + n) for u, v in edge_list])
+        # distance at most 2 exactly when the closed neighborhoods meet
+        _assert_same_graph(square(g), n, [(u, v) for u, v in combinations(range(n), 2)
+                                          if closed[u] & closed[v]])
+
+        classes: list[tuple[int, ...]] = []
+        for s in range(n):
+            if any(s in c for c in classes):
+                continue
+            reach, frontier = {s}, [s]
+            while frontier:
+                new = closed[frontier.pop()] - reach
+                reach |= new
+                frontier.extend(new)
+            classes.append(tuple(sorted(reach)))
+        comps = components(g)
+        assert [ids for _, ids in comps] == classes
+        for comp, ids in comps:
+            _assert_same_graph(comp, len(ids), _relabel(edge_list, ids))
+
+        for v in range(n):
+            ids = tuple(u for u in range(n) if u not in closed[v])
+            h, got_ids = delete_closed_neighborhood(g, v)
+            assert got_ids == ids
+            _assert_same_graph(h, len(ids), _relabel(edge_list, ids))
 
 
 def test_distances_match_floyd_warshall_exhaustively():

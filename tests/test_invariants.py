@@ -8,7 +8,7 @@ import oracles
 from conftest import graphs, labeled_graphs
 from squarestable.codec import decode_graph6
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import build_graph, square
+from squarestable.graphs import Graph, square
 from squarestable.invariants import (DEFAULT_BUDGET, BudgetExhausted,
                                      SolverBudget, alpha,
                                      core_set, count_perfect_matchings,
@@ -231,6 +231,22 @@ def test_ind_dom_deep_inputs_end_within_budget(solver, build):
     assert proc.stdout.split()[0] in ("value", "budget"), proc.stdout
 
 
+@pytest.mark.parametrize("build", ["path(2500)", "cycle(2500)"])
+def test_count_perfect_matchings_deep_inputs_end_within_budget(build):
+    # one matched pair per search level, so the search runs 1,250 levels
+    # deep: a recursive count raises RecursionError on both
+    code = (
+        "from squarestable.invariants import SolverBudget, count_perfect_matchings\n"
+        "from squarestable.named_graphs import cycle, path\n"
+        f"g = {build}\n"
+        "print(count_perfect_matchings(g, limit=2,\n"
+        "                              budget=SolverBudget(max_nodes=200_000, max_seconds=10)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1" if build.startswith("path") else "2"]
+
+
 def test_maximal_cliques_match_oracle_exhaustively():
     for g in labeled_graphs(6):
         if g.n:
@@ -351,8 +367,8 @@ def test_simplicial_vertices_live_in_one_clique(g):
 
 
 def test_alpha_of_empty_graph_is_zero():
-    assert alpha(build_graph(0, [])) == (0, frozenset())
-    assert mu(build_graph(0, [])) == (0, frozenset())
+    assert alpha(Graph(0, [])) == (0, frozenset())
+    assert mu(Graph(0, [])) == (0, frozenset())
 
 
 def test_core_of_path_square():

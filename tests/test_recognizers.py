@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from squarestable.graphs import build_graph, disjoint_union
+from squarestable.graphs import Graph, disjoint_union
 from squarestable.invariants import alpha, is_matching, mu
 from squarestable.named_graphs import (GALLERY, c4_with_two_pendants,
                                        c5_with_two_pendants, comb, complete,
@@ -99,7 +99,7 @@ def test_vertex_in_exactly_one_simplex_examples():
 
 
 def test_rejects_empty_graph():
-    empty = build_graph(0, [])
+    empty = Graph(0, [])
     for fn in [is_koenig_egervary, is_square_stable, is_simplicial_graph,
                has_pendant_perfect_matching, vertex_in_exactly_one_simplex]:
         with pytest.raises(ValueError):
