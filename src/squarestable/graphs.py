@@ -59,6 +59,10 @@ class Graph:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the masks; the memo is not carried
+        return Graph._from_masks, (self._masks,)
+
     @property
     def edges(self) -> frozenset[Edge]:
         """Edge set, each edge normalized to ``(u, v)`` with ``u < v``."""
@@ -91,20 +95,20 @@ T = TypeVar("T")
 _MISSING = object()
 
 
-def memoized(g: Graph, key: str, compute: Callable[..., T], *args) -> T:
-    """Value ``key`` of g, computed by ``compute(*args)`` once per Graph object.
+def memoized(g: Graph, compute: Callable[..., T], *args) -> T:
+    """``compute(g, *args)``, computed once per Graph object.
 
-    The value is kept in the graph's private memo, so it lives and dies with
-    the graph.  A key names one computation from the definitions wherever it
-    is used: ``"square"`` is :func:`square`, and a solver's name (``"alpha"``,
-    ``"mu"``, ``"theta"``, ``"gamma"``, ``"ind_dom"``) holds its full
-    ``(value, witness)`` result.  A computation that raises (a solver out of
-    budget) stores nothing, so the next caller computes again.
+    The value is kept in the graph's private memo under ``compute`` itself,
+    so it lives and dies with the graph, and an entry can only ever hold the
+    result of the function that produced it.  ``args`` (a solver budget,
+    say) do not take part in the key: every memoized value is exact.  A
+    computation that raises (a solver out of budget) stores nothing, so the
+    next caller computes again.
     """
     memo = g._facts
-    value = memo.get(key, _MISSING)
+    value = memo.get(compute, _MISSING)
     if value is _MISSING:
-        value = memo[key] = compute(*args)
+        value = memo[compute] = compute(g, *args)
     return value
 
 

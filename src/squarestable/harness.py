@@ -30,8 +30,10 @@ from .invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP, BudgetExhausted,
                          SolverBudget, alpha, count_perfect_matchings, core_set,
                          gamma, ind_dom, mu, omega_family, simplexes,
                          simplicial_vertices, theta)
-from .recognizers import (has_pendant_perfect_matching, is_simplicial_graph,
-                          is_well_covered, vertex_in_exactly_one_simplex)
+from .recognizers import (has_pendant_perfect_matching, is_koenig_egervary,
+                          is_simplicial_graph, is_square_stable,
+                          is_very_well_covered, is_well_covered,
+                          vertex_in_exactly_one_simplex)
 
 
 @dataclass(frozen=True)
@@ -78,56 +80,33 @@ class Claim:
 
 # ---------------------------------------------------------------------------
 # per-graph facts (definition-level, no recognizer shortcuts)
+#
+# Repeated values are read through the graph's memo, keyed by the function
+# that computes them (:func:`~squarestable.graphs.memoized`), so the
+# recognizers and ``invariant_report`` share the entries.  A solver out of
+# budget leaves nothing behind, so a skip stays a skip.  Solvers and
+# predicates are looked up as module globals at each call.
 
 
-def _fact(g: Graph, name: str, budget: SolverBudget):
-    """Fact ``name`` of g, computed once per Graph object from its definition.
-
-    The value is kept in the graph's private memo (see
-    :func:`~squarestable.graphs.memoized`), so it lives and dies with the
-    graph being evaluated, and the recognizers and ``invariant_report`` read
-    the same entries.  A solver that runs out of budget raises through here
-    and leaves nothing behind: a skip stays a skip.  A memoized value is
-    exact, so it answers under any budget.
-    """
-    return memoized(g, name, _FACTS[name], g, budget)
+def _omega(g: Graph, budget: SolverBudget) -> list[frozenset[int]]:
+    """Ω(g) from the memo.  A graph past ``OMEGA_ENUMERATION_CAP`` is a budget
+    skip, since its family is never materialized."""
+    if g.n > OMEGA_ENUMERATION_CAP:
+        raise BudgetExhausted("omega_family", 0)
+    return memoized(g, omega_family, budget)
 
 
-#: How each fact is computed.  A solver's fact is its full (value, witness)
-#: result, so the claims read its value as ``[0]``.  Facts made of other
-#: facts read them through :func:`_fact` and keep the short-circuit order of
-#: their definition, so a budget skip happens on the same graphs as when
-#: every value is recomputed.
-_FACTS: dict[str, Callable[[Graph, SolverBudget], object]] = {
-    "square": lambda g, budget: square(g),
-    "connected": lambda g, budget: is_connected(g),
-    "alpha": lambda g, budget: alpha(g, budget),
-    "theta": lambda g, budget: theta(g, budget),
-    "mu": lambda g, budget: mu(g),
-    "gamma": lambda g, budget: gamma(g, budget),
-    "ind_dom": lambda g, budget: ind_dom(g, budget),
-    "wc": lambda g, budget: is_well_covered(g, budget)[0],
-    "omega": lambda g, budget: omega_family(g, budget),
-    "core": lambda g, budget: core_set(
-        g, budget,
-        _fact(g, "omega", budget) if g.n <= OMEGA_ENUMERATION_CAP else None),
-    "pendant_pm": lambda g, budget: has_pendant_perfect_matching(g),
-    "pendant_edge_count": lambda g, budget: len(pendant_edges(g)),
-    "ke": lambda g, budget: (_fact(g, "alpha", budget)[0] + _fact(g, "mu", budget)[0]
-                             == g.n),
-    "ss": lambda g, budget: (_fact(g, "alpha", budget)[0]
-                             == _fact(_fact(g, "square", budget), "alpha", budget)[0]),
-    "vwc": lambda g, budget: (all(g.degree(v) > 0 for v in range(g.n))
-                              and g.n == 2 * _fact(g, "alpha", budget)[0]
-                              and _fact(g, "wc", budget)),
-    "perfect_matching": lambda g, budget: 2 * _fact(g, "mu", budget)[0] == g.n,
-}
+def _core(g: Graph, budget: SolverBudget) -> frozenset[int]:
+    """core(g) from the memo, intersecting the memoized Ω where it is
+    materialized."""
+    family = memoized(g, omega_family, budget) if g.n <= OMEGA_ENUMERATION_CAP else None
+    return memoized(g, core_set, budget, family)
 
 
 def _distance3_omega_member_exists(g, budget) -> bool:
     """Literal reading: some maximum stable set is pairwise at distance >= 3."""
     d = distances(g)
-    for s in _fact(g, "omega", budget):
+    for s in _omega(g, budget):
         ok = True
         for u, v in combinations(sorted(s), 2):
             if d[u][v] is not None and d[u][v] < 3:
@@ -167,14 +146,14 @@ def _applies_nonempty(g, budget):
 
 
 def _violation_chain(g, budget):
-    sq = _fact(g, "square", budget)
+    sq = memoized(g, square)
     vals = {
-        "alpha_square": _fact(sq, "alpha", budget)[0],
-        "theta_square": _fact(sq, "theta", budget)[0],
-        "gamma": _fact(g, "gamma", budget)[0],
-        "ind_dom": _fact(g, "ind_dom", budget)[0],
-        "alpha": _fact(g, "alpha", budget)[0],
-        "theta": _fact(g, "theta", budget)[0],
+        "alpha_square": memoized(sq, alpha, budget)[0],
+        "theta_square": memoized(sq, theta, budget)[0],
+        "gamma": memoized(g, gamma, budget)[0],
+        "ind_dom": memoized(g, ind_dom, budget)[0],
+        "alpha": memoized(g, alpha, budget)[0],
+        "theta": memoized(g, theta, budget)[0],
     }
     chain = [vals["alpha_square"], vals["theta_square"], vals["gamma"],
              vals["ind_dom"], vals["alpha"], vals["theta"]]
@@ -184,24 +163,24 @@ def _violation_chain(g, budget):
 
 
 def _applies_connected(g, budget):
-    return g.n >= 1 and _fact(g, "connected", budget)
+    return g.n >= 1 and memoized(g, is_connected)
 
 
 def _violation_equivalences(g, budget):
-    sq = _fact(g, "square", budget)
-    a = _fact(g, "alpha", budget)[0]
-    a2 = _fact(sq, "alpha", budget)[0]
-    t = _fact(g, "theta", budget)[0]
-    t2 = _fact(sq, "theta", budget)[0]
-    gam = _fact(g, "gamma", budget)[0]
-    ind = _fact(g, "ind_dom", budget)[0]
+    sq = memoized(g, square)
+    a = memoized(g, alpha, budget)[0]
+    a2 = memoized(sq, alpha, budget)[0]
+    t = memoized(g, theta, budget)[0]
+    t2 = memoized(sq, theta, budget)[0]
+    gam = memoized(g, gamma, budget)[0]
+    ind = memoized(g, ind_dom, budget)[0]
     conditions = {
         "unique_simplex_cover": vertex_in_exactly_one_simplex(g, budget),
         "alpha_square_equal": a == a2,
         "theta_square_equal": t == t2,
         "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,
         "simplicial_and_well_covered": (is_simplicial_graph(g)
-                                        and _fact(g, "wc", budget)),
+                                        and memoized(g, is_well_covered, budget)[0]),
         "distance3_maximum_stable_set": _distance3_omega_member_exists(g, budget),
     }
     return _equal_or_table(conditions, {
@@ -210,15 +189,15 @@ def _violation_equivalences(g, budget):
 
 
 def _applies_connected_square_stable(g, budget):
-    return g.n >= 1 and _fact(g, "connected", budget) and _fact(g, "ss", budget)
+    return g.n >= 1 and memoized(g, is_connected) and is_square_stable(g, budget)
 
 
 def _violation_simplicial_correspondence(g, budget):
-    sq = _fact(g, "square", budget)
-    omega_sq = _fact(sq, "omega", budget)
+    sq = memoized(g, square)
+    omega_sq = _omega(sq, budget)
     union = frozenset().union(*omega_sq) if omega_sq else frozenset()
     simp = simplicial_vertices(g)
-    core_sq = _fact(sq, "core", budget)
+    core_sq = _core(sq, budget)
     lone = set()
     for s in simplexes(g, budget):
         owners = s & simp
@@ -238,16 +217,16 @@ def _violation_simplicial_correspondence(g, budget):
 
 
 def _applies_pendant_pm(g, budget):
-    return g.n >= 1 and _fact(g, "pendant_pm", budget) is not None
+    return g.n >= 1 and memoized(g, has_pendant_perfect_matching) is not None
 
 
 def _violation_pendant_matching(g, budget):
-    m = _fact(g, "pendant_pm", budget)
+    m = memoized(g, has_pendant_perfect_matching)
     assert m is not None
     expected = _expected_square_omega(g, m)
-    got = _fact(_fact(g, "square", budget), "omega", budget)
+    got = _omega(memoized(g, square), budget)
     conditions = {
-        "square_stable": _fact(g, "ss", budget),
+        "square_stable": is_square_stable(g, budget),
         "square_omega_is_pendant_selections": got == expected,
     }
     if all(conditions.values()):
@@ -258,19 +237,20 @@ def _violation_pendant_matching(g, budget):
 
 
 def _applies_connected_ke(g, budget):
-    return g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget)
+    return g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget)
 
 
 def _violation_ke_characterization(g, budget):
-    a = _fact(g, "alpha", budget)[0]
+    a = memoized(g, alpha, budget)[0]
     conditions = {
-        "square_stable": _fact(g, "ss", budget),
-        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
-        "vwc_with_alpha_pendants": (_fact(g, "vwc", budget)
-                                    and _fact(g, "pendant_edge_count", budget) == a),
+        "square_stable": is_square_stable(g, budget),
+        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
+                                     is not None),
+        "vwc_with_alpha_pendants": (is_very_well_covered(g, budget)
+                                    and len(pendant_edges(g)) == a),
     }
     return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": _fact(g, "pendant_edge_count", budget)})
+        "alpha": a, "pendant_edges": len(pendant_edges(g))})
 
 
 def _applies_tree(g, budget):
@@ -279,60 +259,61 @@ def _applies_tree(g, budget):
 
 def _violation_tree_equivalences(g, budget):
     conditions = {
-        "well_covered": _fact(g, "wc", budget),
-        "very_well_covered": _fact(g, "vwc", budget),
-        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
-        "square_stable": _fact(g, "ss", budget),
+        "well_covered": memoized(g, is_well_covered, budget)[0],
+        "very_well_covered": is_very_well_covered(g, budget),
+        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
+                                     is not None),
+        "square_stable": is_square_stable(g, budget),
     }
     return _equal_or_table(conditions)
 
 
 def _applies_connected_ss_n2(g, budget):
-    return g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ss", budget)
+    return g.n >= 2 and memoized(g, is_connected) and is_square_stable(g, budget)
 
 
 def _violation_alpha_le_mu(g, budget):
-    a = _fact(g, "alpha", budget)[0]
-    m = _fact(g, "mu", budget)[0]
+    a = memoized(g, alpha, budget)[0]
+    m = memoized(g, mu)[0]
     if a <= m:
         return None
     return {"values": {"alpha": a, "mu": m}}
 
 
 def _applies_square_ke(g, budget):
-    return (g.n >= 2 and _fact(g, "connected", budget)
-            and _fact(_fact(g, "square", budget), "ke", budget))
+    return (g.n >= 2 and memoized(g, is_connected)
+            and is_koenig_egervary(memoized(g, square), budget))
 
 
 def _violation_square_ke(g, budget):
     conditions = {
-        "square_stable": _fact(g, "ss", budget),
-        "ke_with_perfect_matching": (_fact(g, "ke", budget)
-                                     and _fact(g, "perfect_matching", budget)),
+        "square_stable": is_square_stable(g, budget),
+        "ke_with_perfect_matching": (is_koenig_egervary(g, budget)
+                                     and 2 * memoized(g, mu)[0] == g.n),
     }
     return _equal_or_table(conditions, {
-        "alpha": _fact(g, "alpha", budget)[0], "mu": _fact(g, "mu", budget)[0],
+        "alpha": memoized(g, alpha, budget)[0], "mu": memoized(g, mu)[0],
         "order": g.n})
 
 
 def _applies_vwc_characterization(g, budget):
-    return ((g.n >= 2 and _fact(g, "connected", budget))
-            or (g.n >= 1 and _fact(g, "ss", budget)))
+    return ((g.n >= 2 and memoized(g, is_connected))
+            or (g.n >= 1 and is_square_stable(g, budget)))
 
 
 def _violation_vwc_characterization(g, budget):
     details: dict = {"conditions": {}, "values": {}}
     bad = False
-    if g.n >= 2 and _fact(g, "connected", budget):
-        left = _fact(g, "ss", budget) and _fact(g, "vwc", budget)
-        right = (_fact(g, "ke", budget) and _fact(g, "perfect_matching", budget)
-                 and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget)[0])
+    if g.n >= 2 and memoized(g, is_connected):
+        left = is_square_stable(g, budget) and is_very_well_covered(g, budget)
+        right = (is_koenig_egervary(g, budget) and 2 * memoized(g, mu)[0] == g.n
+                 and len(pendant_edges(g)) == memoized(g, alpha, budget)[0])
         details["conditions"]["square_stable_and_vwc"] = left
         details["conditions"]["ke_pm_alpha_pendants"] = right
         bad = bad or left != right
-    if _fact(g, "ss", budget):
-        ke_g = _fact(g, "ke", budget)
-        ke_sq = _fact(_fact(g, "square", budget), "ke", budget)
+    if is_square_stable(g, budget):
+        ke_g = is_koenig_egervary(g, budget)
+        ke_sq = is_koenig_egervary(memoized(g, square), budget)
         details["conditions"]["ke_base"] = ke_g
         details["conditions"]["ke_square"] = ke_sq
         bad = bad or ke_g != ke_sq
@@ -340,24 +321,26 @@ def _violation_vwc_characterization(g, budget):
 
 
 def _applies_girth6(g, budget):
-    return (g.n >= 2 and _fact(g, "connected", budget) and girth_at_least(g, 6)
+    return (g.n >= 2 and memoized(g, is_connected) and girth_at_least(g, 6)
             and not is_cycle_of_length(g, 7))
 
 
 def _violation_girth6(g, budget):
-    a = _fact(g, "alpha", budget)[0]
+    a = memoized(g, alpha, budget)[0]
     conditions = {
-        "well_covered": _fact(g, "wc", budget),
-        "pendant_perfect_matching": _fact(g, "pendant_pm", budget) is not None,
-        "very_well_covered": _fact(g, "vwc", budget),
-        "ke_alpha_pendants_empty_core": (_fact(g, "ke", budget)
-                                         and _fact(g, "pendant_edge_count", budget) == a
-                                         and not _fact(g, "core", budget)),
-        "ke_and_square_stable": _fact(g, "ke", budget) and _fact(g, "ss", budget),
+        "well_covered": memoized(g, is_well_covered, budget)[0],
+        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
+                                     is not None),
+        "very_well_covered": is_very_well_covered(g, budget),
+        "ke_alpha_pendants_empty_core": (is_koenig_egervary(g, budget)
+                                         and len(pendant_edges(g)) == a
+                                         and not _core(g, budget)),
+        "ke_and_square_stable": (is_koenig_egervary(g, budget)
+                                 and is_square_stable(g, budget)),
     }
     return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": _fact(g, "pendant_edge_count", budget),
-        "core": sorted(_fact(g, "core", budget))})
+        "alpha": a, "pendant_edges": len(pendant_edges(g)),
+        "core": sorted(_core(g, budget))})
 
 
 def _is_complete_graph(g):
@@ -369,9 +352,9 @@ def _applies_vwc_basics(g, budget):
         return False
     if all(g.degree(v) > 0 for v in range(g.n)):
         return True
-    if _fact(g, "connected", budget) and _fact(g, "ke", budget):
+    if memoized(g, is_connected) and is_koenig_egervary(g, budget):
         return True
-    return not _is_complete_graph(g) and _fact(g, "wc", budget)
+    return not _is_complete_graph(g) and memoized(g, is_well_covered, budget)[0]
 
 
 def _violation_vwc_basics(g, budget):
@@ -379,21 +362,23 @@ def _violation_vwc_basics(g, budget):
     values: dict = {}
     bad = False
     if g.n >= 2 and all(g.degree(v) > 0 for v in range(g.n)):
-        left = _fact(g, "vwc", budget)
-        right = _fact(g, "wc", budget) and _fact(g, "ke", budget)
+        left = is_very_well_covered(g, budget)
+        right = (memoized(g, is_well_covered, budget)[0]
+                 and is_koenig_egervary(g, budget))
         conditions["vwc_equals_wc_and_ke"] = left == right
         bad = bad or left != right
-    if g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget):
-        eq = _fact(g, "wc", budget) == _fact(g, "vwc", budget)
+    if g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget):
+        eq = memoized(g, is_well_covered, budget)[0] == is_very_well_covered(g, budget)
         conditions["connected_ke_wc_equals_vwc"] = eq
         bad = bad or not eq
-    if g.n >= 2 and not _is_complete_graph(g) and _fact(g, "wc", budget):
-        a = _fact(g, "alpha", budget)[0]
+    if (g.n >= 2 and not _is_complete_graph(g)
+            and memoized(g, is_well_covered, budget)[0]):
+        a = memoized(g, alpha, budget)[0]
         all_good = True
         for v in range(g.n):
             h, _ = delete_closed_neighborhood(g, v)
-            if (h.n < 1 or not _fact(h, "wc", budget)
-                    or _fact(h, "alpha", budget)[0] != a - 1):
+            if (h.n < 1 or not memoized(h, is_well_covered, budget)[0]
+                    or memoized(h, alpha, budget)[0] != a - 1):
                 all_good = False
                 values["failing_vertex"] = v
                 break
@@ -408,12 +393,12 @@ def _violation_vwc_basics(g, budget):
 
 
 def _applies_disconnected(g, budget):
-    return g.n >= 1 and not _fact(g, "connected", budget)
+    return g.n >= 1 and not memoized(g, is_connected)
 
 
 def _violation_componentwise(g, budget):
-    whole = _fact(g, "ss", budget)
-    parts = all(_fact(comp, "ss", budget) for comp, _ in components(g))
+    whole = is_square_stable(g, budget)
+    parts = all(is_square_stable(comp, budget) for comp, _ in components(g))
     if whole == parts:
         return None
     return {"conditions": {"whole_square_stable": whole,
@@ -425,7 +410,7 @@ def _violation_componentwise(g, budget):
 
 
 def _applies_well_covered_only(g, budget):
-    return g.n >= 1 and _fact(g, "wc", budget)
+    return g.n >= 1 and memoized(g, is_well_covered, budget)[0]
 
 
 def _applies_unique_pm(g, budget):
@@ -433,25 +418,25 @@ def _applies_unique_pm(g, budget):
 
 
 def _applies_unique_square_omega(g, budget):
-    return g.n >= 1 and len(_fact(_fact(g, "square", budget), "omega", budget)) == 1
+    return g.n >= 1 and len(_omega(memoized(g, square), budget)) == 1
 
 
 def _applies_ke_alpha_pendants(g, budget):
-    return (g.n >= 2 and _fact(g, "connected", budget) and _fact(g, "ke", budget)
-            and _fact(g, "pendant_edge_count", budget) == _fact(g, "alpha", budget)[0])
+    return (g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget)
+            and len(pendant_edges(g)) == memoized(g, alpha, budget)[0])
 
 
 def _violation_not_square_stable(g, budget):
-    if _fact(g, "ss", budget):
+    if is_square_stable(g, budget):
         return None
     return {"conditions": {"square_stable": False}}
 
 
 def _violation_not_ss_and_vwc(g, budget):
-    if _fact(g, "ss", budget) and _fact(g, "vwc", budget):
+    if is_square_stable(g, budget) and is_very_well_covered(g, budget):
         return None
-    return {"conditions": {"square_stable": _fact(g, "ss", budget),
-                           "very_well_covered": _fact(g, "vwc", budget)}}
+    return {"conditions": {"square_stable": is_square_stable(g, budget),
+                           "very_well_covered": is_very_well_covered(g, budget)}}
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +569,19 @@ def _scan_encoded(args: tuple[str, tuple[str, ...], SolverBudget]):
     return _scan(claim, (decode_graph6(s) for s in lines), budget)
 
 
+def _merge(results: Iterable[tuple[int, int, int, tuple[str, dict] | None]]):
+    """Sum the counts of ``_scan`` results and keep the least counterexample."""
+    seen = checked = skipped = 0
+    best: tuple[str, dict] | None = None
+    for s, c, k, b in results:
+        seen += s
+        checked += c
+        skipped += k
+        if b is not None and (best is None or b[0] < best[0]):
+            best = b
+    return seen, checked, skipped, best
+
+
 def run_claim(
     name: str,
     family: GraphFamily | Sequence[GraphFamily],
@@ -593,16 +591,9 @@ def run_claim(
     """Check one registered claim over a family and aggregate the verdict."""
     claim = ALL_CLAIMS[name]
     fams = _families_tuple(family)
-    seen = checked = skipped = 0
-    best: tuple[str, dict] | None = None
     if jobs <= 1:
-        for fam in fams:
-            s, c, k, b = _scan(claim, generate(fam), budget)
-            seen += s
-            checked += c
-            skipped += k
-            if b is not None and (best is None or b[0] < best[0]):
-                best = b
+        seen, checked, skipped, best = _merge(
+            _scan(claim, generate(fam), budget) for fam in fams)
     else:
         batches: list[tuple[str, tuple[str, ...], SolverBudget]] = []
         for fam in fams:
@@ -615,12 +606,7 @@ def run_claim(
             if bucket:
                 batches.append((name, tuple(bucket), budget))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for s, c, k, b in pool.map(_scan_encoded, batches):
-                seen += s
-                checked += c
-                skipped += k
-                if b is not None and (best is None or b[0] < best[0]):
-                    best = b
+            seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
     counterexample = None
     if best is not None:
         counterexample = {"graph6": best[0], **best[1]}

@@ -689,16 +689,16 @@ def invariant_report(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
     """
     def solved(name, solver, *args):
         t0 = time.perf_counter()
-        result = memoized(g, name, solver, *args)
+        result = memoized(g, solver, *args)
         if timing is not None:
             timing[name] = round(time.perf_counter() - t0, 6)
         return result
 
-    a, a_set = solved("alpha", alpha, g, budget)
-    m, m_set = solved("mu", mu, g)
-    t, t_parts = solved("theta", theta, g, budget)
-    d, d_set = solved("gamma", gamma, g, budget)
-    i, i_set = solved("ind_dom", ind_dom, g, budget)
+    a, a_set = solved("alpha", alpha, budget)
+    m, m_set = solved("mu", mu)
+    t, t_parts = solved("theta", theta, budget)
+    d, d_set = solved("gamma", gamma, budget)
+    i, i_set = solved("ind_dom", ind_dom, budget)
     return InvariantReport(
         alpha=a, mu=m, theta=t, gamma=d, ind_dom=i, girth=_girth(g),
         stable_set=a_set, matching=m_set, clique_cover=t_parts,

@@ -4,14 +4,17 @@ Each predicate follows its defining formula; where a fast structural route
 exists as well (pendant perfect matchings, distance-3 stable sets) both are
 exposed so the claim harness can compare the routes instead of trusting one.
 
+The predicates read α(G), μ(G), the square, α(G²) and well-coveredness
+through the graph's memo (:func:`~squarestable.graphs.memoized`), so values
+already solved on the same graph object (by ``invariant_report`` or another
+predicate, say) are not solved again.  A memoized value is computed from its
+definition, so reading it does not trust any other class test.
+
 ``recognize`` bundles the flags for one graph.  It computes the cheap
 structural facts first and may skip an expensive solve when an implication
-already decides a flag.  It reads α(G), μ(G), the square and α(G²) through
-the graph's memo, so values already solved on the same graph object (by
-``invariant_report``, say) are not solved again.  ``cross_check=True``
-disables the shortcuts and verifies every flag from its definition through
-the predicates below, which always call the solvers, raising on any
-disagreement.
+already decides a flag.  ``cross_check=True`` disables the shortcuts and
+verifies every flag from its definition through the predicates below,
+raising on any disagreement.
 """
 
 from __future__ import annotations
@@ -33,9 +36,7 @@ def _require_vertices(g: Graph) -> None:
 def is_koenig_egervary(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
     """True iff the stability and matching numbers add up to the order."""
     _require_vertices(g)
-    a, _ = alpha(g, budget)
-    m, _ = mu(g)
-    return a + m == g.n
+    return memoized(g, alpha, budget)[0] + memoized(g, mu)[0] == g.n
 
 
 def is_well_covered(
@@ -62,25 +63,18 @@ def is_well_covered(
 
 
 def is_very_well_covered(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
-    """Well covered, no isolated vertices, and order exactly twice alpha."""
+    """No isolated vertices, order exactly twice alpha, and well covered."""
     _require_vertices(g)
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        return False
-    if g.n % 2:
-        return False
-    wc, _ = is_well_covered(g, budget)
-    if not wc:
-        return False
-    a, _ = alpha(g, budget)
-    return g.n == 2 * a
+    return (all(g.degree(v) > 0 for v in range(g.n))
+            and g.n == 2 * memoized(g, alpha, budget)[0]
+            and memoized(g, is_well_covered, budget)[0])
 
 
 def is_square_stable(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
     """True iff the stability number survives squaring the graph."""
     _require_vertices(g)
-    a, _ = alpha(g, budget)
-    a2, _ = alpha(square(g), budget)
-    return a == a2
+    return (memoized(g, alpha, budget)[0]
+            == memoized(memoized(g, square), alpha, budget)[0])
 
 
 def has_distance3_maximum_stable_set(
@@ -94,15 +88,8 @@ def has_distance3_maximum_stable_set(
     against the literal distance condition before being returned.
     """
     _require_vertices(g)
-    a, _ = alpha(g, budget)
-    return _distance3_witness(g, a, alpha(square(g), budget))
-
-
-def _distance3_witness(g: Graph, a: int, square_alpha: tuple[int, VertexSet]
-                       ) -> VertexSet | None:
-    """The square's maximum stable set when its size is the base stability
-    number ``a``, checked against the literal distance condition."""
-    a2, witness = square_alpha
+    a = memoized(g, alpha, budget)[0]
+    a2, witness = memoized(memoized(g, square), alpha, budget)
     if a2 != a:
         return None
     d = distances(g)
@@ -185,9 +172,11 @@ def recognize(
     """Compute all six class flags with certificates.
 
     Budget exhaustion never produces a wrong flag: the affected flag comes
-    back ``None`` with a note in the certificates.  With ``cross_check=True``
-    every implication shortcut is re-derived from the defining formulas and
-    any disagreement raises ``AssertionError``.
+    back ``None`` with a note in the certificates.  α, μ, the square, α(G²)
+    and well-coveredness are read through the graph's memo.  With
+    ``cross_check=True`` the shortcuts are disabled and every decided flag
+    is compared with its predicate, which reads the same memoized values
+    from the definitions; any disagreement raises ``AssertionError``.
     """
     _require_vertices(g)
     certificates: dict = {}
@@ -207,8 +196,8 @@ def recognize(
             certificates[name] = {"budget_exhausted": exc.nodes_used}
             return _EXHAUSTED
 
-    a = run("alpha", lambda: memoized(g, "alpha", alpha, g, budget))
-    m_val, m_set = memoized(g, "mu", mu, g)
+    a = run("alpha", lambda: memoized(g, alpha, budget))
+    m_val, m_set = memoized(g, mu)
 
     ke: bool | None = None
     if a is not _EXHAUSTED:
@@ -220,7 +209,7 @@ def recognize(
         }
 
     wc: bool | None = None
-    wc_pair = run("well_covered", lambda: is_well_covered(g, budget))
+    wc_pair = run("well_covered", lambda: memoized(g, is_well_covered, budget))
     if wc_pair is not _EXHAUSTED:
         wc, wc_cert = wc_pair
         certificates["well_covered"] = (
@@ -248,12 +237,7 @@ def recognize(
         one_per_edge = sorted(min(e, key=lambda v: (g.degree(v), v)) for e in pm)
         certificates["square_stable"] = {"distance3_stable_set": one_per_edge}
     else:
-        def distance3():
-            a_g = memoized(g, "alpha", alpha, g, budget)[0]
-            sq = memoized(g, "square", square, g)
-            return _distance3_witness(g, a_g, memoized(sq, "alpha", alpha, sq, budget))
-
-        d3 = run("square_stable", distance3)
+        d3 = run("square_stable", lambda: has_distance3_maximum_stable_set(g, budget))
         if d3 is not _EXHAUSTED:
             ss = d3 is not None
             certificates["square_stable"] = (
@@ -265,10 +249,11 @@ def recognize(
     if cross_check:
         if ke is not None:
             assert ke == is_koenig_egervary(g, budget)
-        if vwc is not None:
+        if vwc is not None and a is not _EXHAUSTED:
             assert vwc == is_very_well_covered(g, budget)
         if pm is not None:
-            assert is_matching(g, pm) and ss is True
+            # ss is None when the square's alpha ran out of budget
+            assert is_matching(g, pm) and ss is not False
 
     return RecognitionProfile(
         is_ke=ke,

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import squarestable.invariants as invariants
-import squarestable.recognizers as recognizers
+from conftest import patch_everywhere
 from squarestable.cli import cli_main
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.graphs import square
@@ -61,8 +61,7 @@ def test_analyze_solves_alpha_once_per_record(monkeypatch, tmp_path, capsys):
         solved.append(encode_graph6(g))
         return real_alpha(g, budget)
 
-    monkeypatch.setattr(invariants, "alpha", counting_alpha)
-    monkeypatch.setattr(recognizers, "alpha", counting_alpha)
+    patch_everywhere(monkeypatch, real_alpha, counting_alpha)
     source = tmp_path / "graphs.g6"
     source.write_text("\n".join(lines) + "\n")
     assert cli_main(["analyze", "--input", str(source)]) == 0
@@ -155,6 +154,21 @@ def test_verify_budget_exhaustion_exit_3():
     assert code == 3
     verdict = json.loads(out)
     assert verdict["skipped"] > 0 and verdict["passed"]
+
+
+def test_verify_counts_graphs_past_the_omega_cap_as_skipped():
+    # 18-vertex trees: the claims that materialize Omega skip them instead
+    # of ending the run with a usage error
+    code, out, err = run_cli([
+        "verify", "--theorem", "all", "--family", "trees:18:10", "--seed", "2"])
+    assert code == 3, err
+    verdicts = {v["theorem"]: v for v in map(json.loads, out.splitlines())}
+    assert len(verdicts) == 12
+    assert all(v["passed"] for v in verdicts.values())
+    assert verdicts["inequality-chain"]["complete"]
+    assert verdicts["inequality-chain"]["graphs_checked"] == 10
+    equivalences = verdicts["square-stable-equivalences"]
+    assert equivalences["skipped"] == 10 and not equivalences["complete"]
 
 
 def test_verify_usage_error_exit_2():

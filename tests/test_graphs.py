@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -10,7 +12,7 @@ from squarestable.graphs import (Graph, GraphError, adjacency_masks,
                                  components, delete_closed_neighborhood,
                                  disjoint_union, distances, girth,
                                  girth_at_least, is_connected,
-                                 is_cycle_of_length, is_tree,
+                                 is_cycle_of_length, is_tree, memoized,
                                  pendant_edges, pendant_vertices, square)
 from squarestable.named_graphs import (complete, complete_bipartite, cycle,
                                        empty_graph, paw, path, star)
@@ -20,6 +22,43 @@ def test_graph_normalizes():
     g = Graph(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
     assert g.edges == frozenset({(0, 1), (2, 3)})
     assert g == Graph(4, [(1, 0), (3, 2)])
+
+
+def test_memoized_computes_once_per_graph_object():
+    calls = []
+
+    def order(g):
+        calls.append(g)
+        return g.n
+
+    g = path(4)
+    assert memoized(g, order) == memoized(g, order) == 4
+    assert len(calls) == 1
+    assert memoized(path(4), order) == 4  # an equal graph has its own memo
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("clone", [
+    lambda g: pickle.loads(pickle.dumps(g)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_graph_round_trips_without_its_memo(clone):
+    calls = []
+
+    def order(g):
+        calls.append(g)
+        return g.n
+
+    for g in (Graph(0), path(3), paw(), disjoint_union(cycle(5), empty_graph(2))):
+        memoized(g, square)
+        memoized(g, order)
+        twin = clone(g)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.edges == g.edges
+        # the clone starts with an empty memo: it computes again
+        assert memoized(twin, order) == g.n
+        assert calls[-1] is twin
 
 
 def test_graph_duplicate_edges_collapse():

@@ -1,7 +1,8 @@
 import json
 from collections import Counter
 
-import squarestable.harness as harness
+import squarestable.invariants as invariants
+from conftest import patch_everywhere
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily
 from squarestable.graphs import disjoint_union, is_cycle_of_length
@@ -12,7 +13,8 @@ from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
                                   _applies_unique_pm, _scan,
                                   reverify_counterexample, run_claim,
                                   run_negative_controls)
-from squarestable.invariants import DEFAULT_BUDGET, SolverBudget, gamma, ind_dom
+from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
+                                    SolverBudget, gamma, ind_dom)
 from squarestable.named_graphs import (GALLERY, c4_with_two_pendants, comb,
                                        complete, cycle, double_star,
                                        fused_triangles, path, paw, star)
@@ -229,6 +231,18 @@ def test_budget_skip_is_not_memoized():
         assert _scan(claim, [g], DEFAULT_BUDGET)[:3] == (1, 1, 0), name
 
 
+def test_claims_reading_omega_skip_graphs_past_the_cap():
+    g = comb(9)  # 18 vertices, connected, with a pendant perfect matching
+    assert g.n > OMEGA_ENUMERATION_CAP
+    for name in ("square-stable-equivalences", "square-simplicial-correspondence",
+                 "pendant-matching-implies-square-stable",
+                 "control-unique-square-maximum-implies-square-stable"):
+        assert _scan(ALL_CLAIMS[name], [g], DEFAULT_BUDGET)[:3] == (1, 0, 1), name
+    # the claims that never materialize Omega still check the graph
+    for name in ("inequality-chain", "girth6-well-covered-equivalences"):
+        assert _scan(ALL_CLAIMS[name], [g], DEFAULT_BUDGET)[:3] == (1, 1, 0), name
+
+
 def test_memoized_facts_match_a_fresh_graph():
     def evaluate(claim, g):
         return claim.applies(g, DEFAULT_BUDGET) and claim.violation(g, DEFAULT_BUDGET)
@@ -254,7 +268,8 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
         return solver
 
     for name in ("gamma", "ind_dom", "omega_family", "core_set", "alpha", "theta"):
-        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        real = getattr(invariants, name)
+        patch_everywhere(monkeypatch, real, counting(name, real))
     g = path(4)
     for claim in ALL_CLAIMS.values():
         assert _scan(claim, [g], DEFAULT_BUDGET)[:3] in ((1, 1, 0), (1, 0, 0))

@@ -138,6 +138,15 @@ def test_recognize_cross_check_on_gallery():
             slow.has_pendant_pm), name
 
 
+def test_recognize_cross_check_under_tiny_budgets():
+    # a flag left undecided by the budget is not a route disagreement
+    from squarestable.invariants import SolverBudget
+
+    for g in [star(2), path(2), path(4), comb(3), cycle(5), net()]:
+        for nodes in range(1, 25):
+            recognize(g, SolverBudget(max_nodes=nodes), cross_check=True)
+
+
 def test_recognize_budget_exhaustion_flags_fields_none():
     from squarestable.invariants import SolverBudget
 
