@@ -6,7 +6,8 @@ cover number, domination numbers, maximum-stable-set enumeration) run under a
 instead of ever returning an approximate value.  Maximum matching is
 polynomial (augmenting paths with blossom contraction) and needs no budget.
 
-Determinism: branching always scans vertices in ascending id.  The stable-set
+Determinism: every search visits its nodes in a fixed order, with ties
+broken by the least vertex id.  The stable-set
 style witnesses (alpha, gamma, independent domination) are the
 lexicographically least optimal sets; the clique-cover witness is a canonical
 sorted partition; the matching witness is the deterministic result of the
@@ -54,23 +55,52 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 
+#: At most this many ticks pass between two reads of the clock.
+_CLOCK_INTERVAL = 4096
+
+
 class _Meter:
-    """Per-call budget state; every tick counts a node, time is checked rarely."""
+    """Per-call budget state; every tick counts a node.
 
-    __slots__ = ("operation", "max_nodes", "deadline", "nodes")
+    The clock is read every ``interval`` ticks.  On a graph of ``order`` at
+    most 64 the first read comes at tick 4,096; a larger graph, whose nodes
+    can cost time quadratic in its order, reads it that much sooner.  After
+    each read the interval is rescaled so that about 1/32 of ``max_seconds``
+    passes between reads (at most doubling, never past 4,096), so a call stops
+    soon after its deadline however much its nodes cost.
+    """
 
-    def __init__(self, operation: str, budget: SolverBudget) -> None:
+    __slots__ = ("operation", "max_nodes", "deadline", "nodes", "check_at",
+                 "interval", "slice", "last_read")
+
+    def __init__(self, operation: str, budget: SolverBudget, order: int = 0) -> None:
         self.operation = operation
         self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
+        self.last_read = time.monotonic()
+        self.deadline = self.last_read + budget.max_seconds
+        self.slice = budget.max_seconds / 32
         self.nodes = 0
+        self.interval = (_CLOCK_INTERVAL if order <= 64
+                         else max(1, _CLOCK_INTERVAL * 64 * 64 // (order * order)))
+        self.check_at = min(self.interval, self.max_nodes + 1)
 
     def tick(self) -> None:
         self.nodes += 1
+        if self.nodes >= self.check_at:
+            self._check()
+
+    def _check(self) -> None:
         if self.nodes > self.max_nodes:
             raise BudgetExhausted(self.operation, self.nodes)
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        now = time.monotonic()
+        if now > self.deadline:
             raise BudgetExhausted(self.operation, self.nodes)
+        elapsed = now - self.last_read
+        grown = min(2 * self.interval, _CLOCK_INTERVAL)
+        self.interval = (max(1, min(grown, int(self.interval * self.slice / elapsed)))
+                         if elapsed > 0 else grown)
+        self.last_read = now
+        self.check_at = min(self.nodes + self.interval, self.max_nodes + 1)
 
 
 def _mask_to_set(mask: int) -> VertexSet:
@@ -127,7 +157,7 @@ def _alpha_mask(adj: tuple[int, ...], universe: int, meter: _Meter) -> tuple[int
 
 def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
     """Stability number with its lexicographically least maximum stable set."""
-    meter = _Meter("alpha", budget)
+    meter = _Meter("alpha", budget, g.n)
     size, mask = _alpha_mask(adjacency_masks(g), (1 << g.n) - 1, meter)
     return size, _mask_to_set(mask)
 
@@ -187,7 +217,7 @@ def enumerate_maximal_stable_sets(
     """Every inclusion-maximal stable set, exactly once, in lexicographic order."""
     if g.n < 1:
         raise ValueError("enumerate_maximal_stable_sets requires at least one vertex")
-    meter = _Meter("enumerate_maximal_stable_sets", budget)
+    meter = _Meter("enumerate_maximal_stable_sets", budget, g.n)
     sets = [_mask_to_set(m) for m in _maximal_stable_masks(g, meter)]
     sets.sort(key=sorted)
     return sets
@@ -205,7 +235,7 @@ def omega_family(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Vertex
         raise ValueError(f"omega_family materializes only up to "
                          f"{OMEGA_ENUMERATION_CAP} vertices, got {g.n}")
     # the maximum stable sets are the maximal ones of the largest size
-    meter = _Meter("omega_family", budget)
+    meter = _Meter("omega_family", budget, g.n)
     masks = list(_maximal_stable_masks(g, meter))
     size = max(m.bit_count() for m in masks)
     fam = [_mask_to_set(m) for m in masks if m.bit_count() == size]
@@ -234,7 +264,7 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
         return frozenset(core)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
-    meter = _Meter("core_set", budget)
+    meter = _Meter("core_set", budget, g.n)
     size, _ = _alpha_mask(adj, full, meter)
     out = set()
     for v in range(g.n):
@@ -349,7 +379,7 @@ def count_perfect_matchings(g: Graph, limit: int | None = None,
         return 1
     adj = adjacency_masks(g)
     full = (1 << n) - 1
-    meter = _Meter("count_perfect_matchings", budget)
+    meter = _Meter("count_perfect_matchings", budget, n)
     count = 0
     # a node matches the least free vertex to each free neighbor; its children
     # go on the stack least partner on top, so nodes pop in depth-first order
@@ -416,7 +446,7 @@ def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[V
     best_count = len(greedy)
     best_cover = greedy
     if best_count > lower:
-        meter = _Meter("theta", budget)
+        meter = _Meter("theta", budget, n)
         classes: list[int] = []
         common = []
 
@@ -472,25 +502,35 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
     ``stop_at`` turns the search into a feasibility test: return the first
     set of at most that size.
 
-    Each node branches on the members of N[u] for the least undominated u:
-    every dominating set covers u with one of them.  With ``stable`` only the
-    still undominated members branch: an undominated vertex is adjacent to no
-    chosen one, so the chosen set stays stable, and a stable dominating set
-    is a maximal stable set.  The branch for v takes the sets containing v
-    and none of the earlier siblings, so no set is reached twice.  The search
-    runs depth-first, least candidate first, on an explicit stack, and stops
-    expanding a node once its cover bound meets the incumbent."""
+    Domination is set cover: every dominating set covers each undominated u
+    with a member of N[u].  A node branches on the undominated u with the
+    fewest candidates (ties to the least id): the members of N[u] not banned
+    and, with ``stable``, still undominated.  An undominated vertex is
+    adjacent to no chosen one, so then the chosen set stays stable, and a
+    stable dominating set is a maximal stable set.  No candidate is a dead
+    node; one is a forced choice.  Without ``stable``, a candidate whose
+    coverage of the undominated vertices lies inside another candidate's is
+    dropped (on equal coverage the least id stays): swapping it for the other,
+    which is not banned either, covers as much at the same size.  That swap
+    can break stability, so ``ind_dom`` keeps every candidate.  The branch for
+    v takes the sets containing v and none of the earlier siblings, so no set
+    is reached twice.  Candidates are tried largest coverage first (ties by
+    id), so the first dive is the greedy cover.  The search runs depth-first
+    on an explicit stack and stops expanding a node once its cover bound
+    ⌈undominated / max |N[v]|⌉ meets the incumbent."""
     dominated = 0
     for v in _bits(forced):
         dominated |= closed[v]
     chosen, count = forced, forced.bit_count()
     banned = ((1 << candidates_from) - 1) | forced
     best: tuple[int, int] | None = None
-    # open nodes: [dominated, chosen, count, bound, untried candidates, banned]
-    stack: list[list[int]] = []
+    # open nodes: [dominated, chosen, count, bound, banned, untried candidates
+    # with the next one last]
+    stack: list[list] = []
     while True:
         meter.tick()
         und = full & ~dominated
+        pick = -1
         if not und:
             if best is None or count < best[0]:
                 best = (count, chosen)
@@ -500,19 +540,85 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
             lower = count + -(-und.bit_count() // max_cover)
             if ((best is None or lower < best[0])
                     and (stop_at is None or lower <= stop_at)):
-                u = (und & -und).bit_length() - 1
-                stack.append([dominated, chosen, count, lower,
-                              closed[u] & (und if stable else full) & ~banned, banned])
+                allowed = (und if stable else full) & ~banned
+                # the undominated vertex with the fewest candidates; with none
+                # the node is dead
+                cands, fewest = 0, max_cover + 1
+                for u in range((und & -und).bit_length() - 1, und.bit_length()):
+                    if und >> u & 1:
+                        c = closed[u] & allowed
+                        k = c.bit_count()
+                        if k < fewest:
+                            cands, fewest = c, k
+                            if not k:
+                                break
+                # a forced choice and a pair of candidates take no sort
+                if fewest == 1:
+                    pick = cands.bit_length() - 1
+                elif fewest == 2:
+                    a = (cands & -cands).bit_length() - 1
+                    b = cands.bit_length() - 1
+                    ca, cb = closed[a] & und, closed[b] & und
+                    if not stable and not cb & ~ca:
+                        pick = a
+                    elif not stable and not ca & ~cb:
+                        pick = b
+                    else:
+                        if cb.bit_count() > ca.bit_count():
+                            a, b, ca = b, a, cb
+                        pick = a
+                        if ca != und:
+                            stack.append([dominated, chosen, count, lower, banned | 1 << a, [b]])
+                elif fewest:
+                    order = []
+                    rest = cands
+                    while rest:
+                        low = rest & -rest
+                        v = low.bit_length() - 1
+                        c = closed[v] & und
+                        if c == und:
+                            # the first child then meets this node's bound,
+                            # so no sibling would be tried
+                            order = [(0, v, c)]
+                            break
+                        order.append((-c.bit_count(), v, c))
+                        rest ^= low
+                    order.sort()
+                    pick = order[0][1]
+                    if stable:
+                        todo = [v for _, v, _ in order[:0:-1]]
+                    else:
+                        # a candidate whose coverage lies inside another's
+                        # comes after it in this order
+                        kept = [order[0][2]]
+                        todo = []
+                        for _, v, c in order[1:]:
+                            for k in kept:
+                                if not c & ~k:
+                                    break
+                            else:
+                                kept.append(c)
+                                todo.append(v)
+                        todo.reverse()
+                    if todo:
+                        stack.append([dominated, chosen, count, lower, banned | 1 << pick, todo])
+        if pick >= 0:
+            dominated |= closed[pick]
+            chosen |= 1 << pick
+            count += 1
+            continue
         while stack:
             frame = stack[-1]
-            cands = frame[4]
-            if cands and (best is None or frame[3] < best[0]):
-                low = cands & -cands
-                banned = frame[5]
-                frame[4] = cands ^ low
-                frame[5] = banned | low
-                dominated = frame[0] | closed[low.bit_length() - 1]
-                chosen = frame[1] | low
+            if best is None or frame[3] < best[0]:
+                todo = frame[5]
+                pick = todo.pop()
+                banned = frame[4]
+                if todo:
+                    frame[4] = banned | 1 << pick
+                else:
+                    stack.pop()
+                dominated = frame[0] | closed[pick]
+                chosen = frame[1] | 1 << pick
                 count = frame[2] + 1
                 break
             stack.pop()
@@ -532,7 +638,7 @@ def _least_dominating_set(g: Graph, budget: SolverBudget,
     closed = [adjm[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     max_cover = max(c.bit_count() for c in closed)
-    meter = _Meter(operation, budget)
+    meter = _Meter(operation, budget, n)
     found = _dominating_search(closed, full, max_cover, stable, meter)
     assert found is not None
     value, known = found
@@ -592,7 +698,7 @@ def maximal_cliques(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Ver
     """All inclusion-maximal cliques (Bron-Kerbosch, pivoting), lexicographic."""
     if g.n < 1:
         raise ValueError("maximal_cliques requires at least one vertex")
-    meter = _Meter("maximal_cliques", budget)
+    meter = _Meter("maximal_cliques", budget, g.n)
     sets = [_mask_to_set(m)
             for m in _bron_kerbosch(adjacency_masks(g), (1 << g.n) - 1, meter)]
     sets.sort(key=sorted)

@@ -49,7 +49,7 @@ def is_well_covered(
     particular smaller than the stability number).
     """
     _require_vertices(g)
-    meter = _Meter("is_well_covered", budget)
+    meter = _Meter("is_well_covered", budget, g.n)
     smallest = largest = None
     for m in _maximal_stable_masks(g, meter):
         k = m.bit_count()

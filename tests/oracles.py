@@ -7,8 +7,10 @@ Bron-Kerbosch paths under test.  Exponential on purpose; keep inputs small.
 The exceptions are slow routes the real solvers replaced, kept as references
 they must match exactly: :func:`theta_unpruned`, the clique-cover search as
 it ran before its bounds were added (the bounded search must also need no
-more nodes), and :func:`ind_dom_enumeration`, independent domination by
-listing every maximal stable set.
+more nodes), :func:`ind_dom_enumeration`, independent domination by
+listing every maximal stable set, and :func:`least_dominating_set_reference`,
+the domination search for gamma and ind_dom as it ran before it took the
+set-cover rules (least undominated vertex, every candidate, least id first).
 """
 
 from __future__ import annotations
@@ -84,6 +86,89 @@ def ind_dom_enumeration(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
     meter = _Meter("ind_dom", budget)
     best = min((m.bit_count(), tuple(_bits(m))) for m in _maximal_stable_masks(g, meter))
     return best[0], frozenset(best[1])
+
+
+def _dominating_search_reference(closed: list[int], full: int, max_cover: int,
+                                 stable: bool, meter: _Meter, forced: int = 0,
+                                 candidates_from: int = 0,
+                                 stop_at: int | None = None) -> tuple[int, int] | None:
+    """The domination search before the set-cover rules: branch on the least
+    undominated u over every unbanned member of N[u] (with ``stable``, every
+    unbanned undominated one), least id first, later siblings banned, pruned
+    by the ⌈undominated / max |N[v]|⌉ bound."""
+    dominated = 0
+    for v in _bits(forced):
+        dominated |= closed[v]
+    chosen, count = forced, forced.bit_count()
+    banned = ((1 << candidates_from) - 1) | forced
+    best: tuple[int, int] | None = None
+    # open nodes: [dominated, chosen, count, bound, untried candidates, banned]
+    stack: list[list[int]] = []
+    while True:
+        meter.tick()
+        und = full & ~dominated
+        if not und:
+            if best is None or count < best[0]:
+                best = (count, chosen)
+                if stop_at is not None and count <= stop_at:
+                    return best
+        else:
+            lower = count + -(-und.bit_count() // max_cover)
+            if ((best is None or lower < best[0])
+                    and (stop_at is None or lower <= stop_at)):
+                u = (und & -und).bit_length() - 1
+                stack.append([dominated, chosen, count, lower,
+                              closed[u] & (und if stable else full) & ~banned, banned])
+        while stack:
+            frame = stack[-1]
+            cands = frame[4]
+            if cands and (best is None or frame[3] < best[0]):
+                low = cands & -cands
+                banned = frame[5]
+                frame[4] = cands ^ low
+                frame[5] = banned | low
+                dominated = frame[0] | closed[low.bit_length() - 1]
+                chosen = frame[1] | low
+                count = frame[2] + 1
+                break
+            stack.pop()
+        else:
+            return best
+
+
+def least_dominating_set_reference(g: Graph, stable: bool,
+                                   budget: SolverBudget = DEFAULT_BUDGET
+                                   ) -> tuple[int, frozenset[int]]:
+    """gamma (ind_dom with ``stable``) as computed before the set-cover rules:
+    the value from :func:`_dominating_search_reference`, then the same
+    lexicographic fix pass, one feasibility search per id below the least
+    new member of a known optimal completion."""
+    n = g.n
+    adj = adjacency_masks(g)
+    closed = [adj[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    max_cover = max(c.bit_count() for c in closed)
+    meter = _Meter("ind_dom" if stable else "gamma", budget)
+    value, known = _dominating_search_reference(closed, full, max_cover, stable, meter)
+    chosen = blocked = 0
+    next_candidate = 0
+    for _ in range(value):
+        rest = known & ~chosen
+        pick = (rest & -rest).bit_length() - 1
+        for v in range(next_candidate, pick):
+            if blocked >> v & 1:
+                continue
+            found = _dominating_search_reference(
+                closed, full, max_cover, stable, meter, forced=chosen | (1 << v),
+                candidates_from=v + 1, stop_at=value)
+            if found is not None and found[0] <= value:
+                pick, known = v, found[1]
+                break
+        chosen |= 1 << pick
+        if stable:
+            blocked |= closed[pick]
+        next_candidate = pick + 1
+    return value, frozenset(_bits(chosen))
 
 
 def maximal_cliques_oracle(g: Graph) -> list[frozenset[int]]:

@@ -113,9 +113,11 @@ def test_planted_mutation_is_caught():
 
 
 def test_budget_exhaustion_records_skips_not_failures():
+    # every solver of the chain decides P3 and its square within 5 nodes;
+    # alpha(C9) needs 9
     verdict = run_claim("inequality-chain", GraphFamily.graph6_lines(
         [encode_graph6(cycle(9)), encode_graph6(path(3))], label="unit"),
-        budget=SolverBudget(max_nodes=20, max_seconds=60.0))
+        budget=SolverBudget(max_nodes=8, max_seconds=60.0))
     assert verdict.passed
     assert verdict.skipped == 1
     assert verdict.graphs_checked == 1
@@ -260,9 +262,11 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
     # simplicial correspondence and the pendant-matching claim, which between
     # them read gamma, i, Omega(G), Omega(G^2) and the square's core
     calls = Counter()
+    solved_on = []  # keeps each graph alive, so no two share an id()
 
     def counting(name, real):
         def solver(g, *args, **kwargs):
+            solved_on.append(g)
             calls[name, id(g)] += 1
             return real(g, *args, **kwargs)
         return solver

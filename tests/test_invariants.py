@@ -20,7 +20,7 @@ from squarestable.invariants import (DEFAULT_BUDGET, BudgetExhausted,
                                      omega_family, simplexes,
                                      simplicial_vertices, theta)
 from squarestable.named_graphs import (braced_ladder, complete,
-                                       complete_bipartite, cycle,
+                                       complete_bipartite, corona, cycle,
                                        diamond_with_pendant, empty_graph, path,
                                        star)
 
@@ -210,12 +210,40 @@ def test_gamma_and_ind_dom_match_references_on_random_graphs():
                 _ind_dom_matches_references(g)
 
 
+def _domination_matches_reference(g):
+    assert gamma(g) == oracles.least_dominating_set_reference(g, stable=False), g
+    assert ind_dom(g) == oracles.least_dominating_set_reference(g, stable=True), g
+
+
+def test_domination_matches_reference_search_exhaustively():
+    for g in labeled_graphs(6):
+        if g.n:
+            _domination_matches_reference(g)
+            _domination_matches_reference(square(g))
+
+
+@pytest.mark.parametrize("family", [
+    # G(n, p) across densities
+    [g for n in range(12, 25) for p in (0.15, 0.3, 0.5, 0.7)
+     for g in generate(GraphFamily.gnp(n, p, 3, seed=n))],
+    # trees, where the subset rule drops the most candidates
+    [g for n in range(20, 41, 4) for g in generate(GraphFamily.random_trees(n, 4, seed=n))],
+    # coronas: every pendant vertex has two candidates, one covering the other
+    [corona(h) for k in range(2, 11) for h in generate(GraphFamily.gnp(k, 0.3, 3, seed=k))],
+], ids=["gnp", "trees", "coronas"])
+def test_domination_matches_reference_search_on_families(family):
+    for g in family:
+        _domination_matches_reference(g)
+
+
 @pytest.mark.parametrize("build", [
     "path(2500)", "cycle(2501)", "disjoint_union(path(1500), cycle(5))"])
 @pytest.mark.parametrize("solver", ["gamma", "ind_dom"])
 def test_ind_dom_deep_inputs_end_within_budget(solver, build):
     # each run in its own interpreter under a wall-clock limit: a recursive
-    # search would raise RecursionError, an unbounded one would hang
+    # search would raise RecursionError, an unbounded one would hang.  On a
+    # path or a cycle the greedy first dive meets the cover bound, so the
+    # value ⌈n/3⌉ = 834 is decided; P1500 + C5 may still exhaust the budget
     code = (
         "from squarestable.graphs import disjoint_union\n"
         f"from squarestable.invariants import BudgetExhausted, SolverBudget, {solver}\n"
@@ -228,7 +256,10 @@ def test_ind_dom_deep_inputs_end_within_budget(solver, build):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] in ("value", "budget"), proc.stdout
+    if build.startswith("disjoint_union"):
+        assert proc.stdout.split()[0] in ("value", "budget"), proc.stdout
+    else:
+        assert proc.stdout.split() == ["value", "834"], proc.stdout
 
 
 @pytest.mark.parametrize("build", ["path(2500)", "cycle(2500)"])
@@ -276,6 +307,39 @@ def test_budget_exhaustion_is_explicit():
         theta(cycle(9), tiny)
     with pytest.raises(BudgetExhausted):
         gamma(cycle(9), tiny)
+
+
+def test_time_cap_holds_when_nodes_are_expensive():
+    # an alpha node on P1500 + C5 costs tens of milliseconds: a clock read
+    # every 4,096 ticks let this call run for many times its time cap
+    code = (
+        "import time\n"
+        "from squarestable.graphs import disjoint_union\n"
+        "from squarestable.invariants import BudgetExhausted, SolverBudget, alpha\n"
+        "from squarestable.named_graphs import cycle, path\n"
+        "g = disjoint_union(path(1500), cycle(5))\n"
+        "t = time.monotonic()\n"
+        "try:\n"
+        "    alpha(g, SolverBudget(max_nodes=200_000, max_seconds=2))\n"
+        "except BudgetExhausted:\n"
+        "    pass\n"
+        "print(time.monotonic() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 4.0, proc.stdout
+
+
+def test_small_graph_call_reads_the_clock_once(monkeypatch):
+    # the meter reads the clock when it starts and, on a graph of at most 64
+    # vertices, not again before tick 4,096
+    from squarestable import invariants
+
+    reads = []
+    clock = invariants.time.monotonic
+    monkeypatch.setattr(invariants.time, "monotonic", lambda: reads.append(1) or clock())
+    gamma(cycle(9))
+    assert len(reads) == 1
 
 
 def test_budget_must_be_positive():
