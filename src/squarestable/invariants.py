@@ -6,12 +6,14 @@ cover number, domination numbers, maximum-stable-set enumeration) run under a
 instead of ever returning an approximate value.  Maximum matching is
 polynomial (augmenting paths with blossom contraction) and needs no budget.
 
-Determinism: every search visits its nodes in a fixed order, with ties
-broken by the least vertex id.  The stable-set
+Determinism: every search visits its nodes in a fixed order.  The stable-set
 style witnesses (alpha, gamma, independent domination) are the
-lexicographically least optimal sets; the clique-cover witness is a canonical
-sorted partition; the matching witness is the deterministic result of the
-fixed scan order.
+lexicographically least optimal sets.  The clique-cover witness is the first
+optimal cover in ascending-id first-fit order (each vertex in id order into
+the first open class it fits, backtracking through the later classes and a
+fresh one), listed in sorted order; ``analyze`` prints it, so its bytes
+depend on that rule.  The matching witness is the deterministic result of
+the fixed scan order.
 """
 
 from __future__ import annotations
@@ -111,19 +113,22 @@ def _mask_to_set(mask: int) -> VertexSet:
 # stability number
 
 
-def _greedy_clique_cover_size(cand: int, adj: tuple[int, ...]) -> int:
-    """Greedy clique cover of the candidate set: an upper bound on how many
-    further stable vertices the candidates can contribute."""
+def _first_fit_cliques(cand: int, adj: tuple[int, ...]) -> list[int]:
+    """Clique cover of ``cand``: each vertex in id order joins the first
+    clique whose members are all its neighbors, else starts one.  Its size
+    bounds how many further stable vertices the candidates can contribute."""
     cliques: list[int] = []
-    for v in _bits(cand):
-        bit = 1 << v
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        nbr = adj[bit.bit_length() - 1]
         for i, c in enumerate(cliques):
-            if adj[v] & c == c:
+            if nbr & c == c:
                 cliques[i] = c | bit
                 break
         else:
             cliques.append(bit)
-    return len(cliques)
+    return cliques
 
 
 def _alpha_mask(adj: tuple[int, ...], universe: int, meter: _Meter) -> tuple[int, int]:
@@ -140,7 +145,7 @@ def _alpha_mask(adj: tuple[int, ...], universe: int, meter: _Meter) -> tuple[int
     def walk(chosen: int, size: int, cand: int) -> None:
         nonlocal best_size, best_mask
         meter.tick()
-        if size + _greedy_clique_cover_size(cand, adj) <= best_size:
+        if size + len(_first_fit_cliques(cand, adj)) <= best_size:
             return
         if not cand:
             if size > best_size:
@@ -413,80 +418,152 @@ def _greedy_stable_size(cand: int, adj: tuple[int, ...]) -> int:
     return size
 
 
+def _cover_search(adj: tuple[int, ...], ranks: list[int], classes: list[int],
+                  common: list[int], rest: int, limit: int, stop: int,
+                  meter: _Meter) -> tuple[int, list[int]] | None:
+    """Extend the cliques ``classes`` (``common[i]`` masks the vertices that
+    ``classes[i]`` can absorb; both lists change in place) over ``rest`` to a
+    cover of fewer than ``limit`` cliques.  Each cover found lowers ``limit``;
+    the last one comes back, at once if it has at most ``stop`` cliques.
+
+    DSATUR: a node branches on the rest vertex the fewest classes can absorb,
+    into each such class in order, then into one fresh class.  Ties go, among
+    vertices no class can absorb, to the least degree (``ranks[d]`` masks
+    degree d), else to the most non-neighbors in ``rest``; then to the least
+    id.  A node is dead once its classes plus a greedy stable set of the
+    vertices no class can absorb reach ``limit``; a fresh class that would
+    reach it is not opened."""
+    best = None
+    # open nodes: [vertex bit, its neighbors, rest, bound, untried children
+    # (next last; -1 is a fresh class), child applied, its class's common before]
+    stack: list[list] = []
+    while True:
+        meter.tick()
+        one = two = 0  # the vertices at least one, two classes can absorb
+        for c in common:
+            two |= one & c
+            one |= c
+        free = rest & ~one
+        k = len(classes)
+        bound = k + _greedy_stable_size(free, adj) if free else k
+        if bound < limit:
+            if not rest:
+                best = (k, list(classes))
+                limit = k
+                if k <= stop:
+                    return best
+            elif free:
+                for r in ranks:
+                    if free & r:
+                        break
+                bit = free & r & -(free & r)
+                stack.append([bit, adj[bit.bit_length() - 1], rest, bound, [-1], -2, 0])
+            else:
+                pick = rest & ~two
+                if not pick:
+                    ge = [rest] + [0] * (k + 1)  # ge[j]: absorbed by >= j classes
+                    for c in common:
+                        for j in range(k, 0, -1):
+                            ge[j] |= ge[j - 1] & c
+                    j = 2
+                    while not pick:
+                        j += 1
+                        pick = ge[j - 1] & ~ge[j]
+                most = -1
+                while pick:
+                    low = pick & -pick
+                    pick ^= low
+                    far = (rest & ~adj[low.bit_length() - 1]).bit_count()
+                    if far > most:
+                        bit, most = low, far
+                kids = [-1] + [i for i in range(k - 1, -1, -1) if common[i] & bit]
+                stack.append([bit, adj[bit.bit_length() - 1], rest, bound, kids, -2, 0])
+        while stack:
+            frame = stack[-1]
+            bit, nbr, node_rest, node_bound, kids, i, saved = frame
+            if i >= 0:
+                classes[i] ^= bit
+                common[i] = saved
+            elif i == -1:
+                classes.pop()
+                common.pop()
+            if kids and node_bound < limit:
+                i = kids.pop()
+                if i >= 0:
+                    frame[6] = common[i]
+                    classes[i] |= bit
+                    common[i] &= nbr
+                elif len(classes) + 1 < limit:
+                    classes.append(bit)
+                    common.append(nbr)
+                else:
+                    stack.pop()
+                    continue
+                frame[5] = i
+                rest = node_rest ^ bit
+                break
+            stack.pop()
+        else:
+            return best
+
+
 def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[VertexSet, ...]]:
     """Exact clique cover number with a certifying partition into cliques.
 
-    Computed as proper coloring of the complement by branch and bound:
-    vertices are assigned in ascending id to an existing class (must stay a
-    clique of g) or to one fresh class, and the incumbent is replaced only on
-    strict improvement.  A greedy stable set bounds the count from below, so
-    a greedy cover that meets it is returned without any search.  The witness
-    partition is returned in canonical sorted form.
+    The partition is the first optimal leaf of the ascending-id search, in
+    which each vertex joins an open class it fits (in class order), else a
+    fresh one.  Its first leaf is the first-fit cover, returned as it is when
+    a greedy stable set meets it.  Otherwise :func:`_cover_search` finds the
+    value, then each vertex in turn takes its first child that a feasibility
+    search completes to an optimal cover; the last such cover shows one child
+    feasible, so only the children before it are searched.  Every bound is a
+    stable set found here, never alpha: alpha <= theta is a claim under test.
     """
     if g.n < 1:
         raise ValueError("theta requires at least one vertex")
     n = g.n
     adj = adjacency_masks(g)
-
-    # greedy first-fit cover gives the initial upper bound; each class keeps
-    # the mask of vertices adjacent to all of its members
-    greedy: list[int] = []
-    common: list[int] = []
-    for v in range(n):
-        bit = 1 << v
-        for i, c in enumerate(common):
-            if c & bit:
-                greedy[i] |= bit
-                common[i] = c & adj[v]
-                break
-        else:
-            greedy.append(bit)
-            common.append(adj[v])
-    lower = _greedy_stable_size((1 << n) - 1, adj)
-    best_count = len(greedy)
-    best_cover = greedy
-    if best_count > lower:
+    full = (1 << n) - 1
+    cover = _first_fit_cliques(full, adj)
+    value, lower = len(cover), _greedy_stable_size(full, adj)
+    found = None
+    if value > lower:
         meter = _Meter("theta", budget, n)
-        classes: list[int] = []
-        common = []
-
-        def walk(v: int, rest: int) -> bool:
-            """Extend the cover over the vertices ``rest`` (ids >= v); True
-            once the incumbent meets the lower bound and the search can stop."""
-            nonlocal best_count, best_cover
-            meter.tick()
-            # a vertex no open class can absorb needs a fresh class, so a
-            # stable set among such vertices needs one fresh class each
-            absorbable = 0
-            for c in common:
-                absorbable |= c
-            if len(classes) + _greedy_stable_size(rest & ~absorbable, adj) >= best_count:
-                return False
-            if v == n:
-                best_count = len(classes)
-                best_cover = list(classes)
-                return best_count == lower
+        ranks = [0] * n
+        for v in range(n):
+            ranks[adj[v].bit_count()] |= 1 << v
+        found = _cover_search(adj, ranks, [], [], full, value, lower, meter)
+    if found is not None:
+        value, known = found
+        cover, common, rest = [], [], full
+        for v in range(n):
             bit = 1 << v
             rest ^= bit
-            for i, c in enumerate(common):
-                if c & bit:
+            for home in known:  # the child that puts v where known has it
+                if home & bit:
+                    break
+            for pick, c in enumerate(cover):
+                if c & home:
+                    break
+            else:
+                pick = len(cover)
+            for i in range(pick):
+                if common[i] & bit:
+                    classes, absorb = cover[:], common[:]
                     classes[i] |= bit
-                    common[i] = c & adj[v]
-                    if walk(v + 1, rest):
-                        return True
-                    classes[i] ^= bit
-                    common[i] = c
-            classes.append(bit)
-            common.append(adj[v])
-            if walk(v + 1, rest):
-                return True
-            classes.pop()
-            common.pop()
-            return False
-
-        walk(0, (1 << n) - 1)
-    cover = sorted((tuple(sorted(_bits(c))) for c in best_cover))
-    return best_count, tuple(frozenset(c) for c in cover)
+                    absorb[i] &= adj[v]
+                    found = _cover_search(adj, ranks, classes, absorb, rest,
+                                          value + 1, value, meter)
+                    if found is not None:
+                        pick, known = i, found[1]
+                        break
+            if pick == len(cover):
+                cover.append(0)
+                common.append(full)
+            cover[pick] |= bit
+            common[pick] &= adj[v]
+    parts = sorted(tuple(sorted(_bits(c))) for c in cover)
+    return value, tuple(frozenset(c) for c in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Bron-Kerbosch paths under test.  Exponential on purpose; keep inputs small.
 The exceptions are slow routes the real solvers replaced, kept as references
 they must match exactly: :func:`theta_unpruned`, the clique-cover search as
 it ran before its bounds were added (the bounded search must also need no
-more nodes), :func:`ind_dom_enumeration`, independent domination by
+more nodes), :func:`theta_bounded_reference`, the same ascending-id search
+with the bounds, as it ran before the DSATUR value search,
+:func:`ind_dom_enumeration`, independent domination by
 listing every maximal stable set, and :func:`least_dominating_set_reference`,
 the domination search for gamma and ind_dom as it ran before it took the
 set-cover rules (least undominated vertex, every candidate, least id first).
@@ -19,8 +21,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from squarestable.graphs import Graph, _bits, adjacency_masks
-from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _maximal_stable_masks,
-                                     _Meter)
+from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _greedy_stable_size,
+                                     _maximal_stable_masks, _Meter)
 
 
 def stable(g: Graph, vs) -> bool:
@@ -277,6 +279,71 @@ def theta_unpruned(g: Graph) -> tuple[int, tuple[frozenset[int], ...], int]:
     walk(0)
     cover = sorted(tuple(sorted(_bits(c))) for c in best[1])
     return best[0], tuple(frozenset(c) for c in cover), nodes
+
+
+def theta_bounded_reference(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
+                            ) -> tuple[int, tuple[frozenset[int], ...]]:
+    """theta as computed before the DSATUR value search: vertices in
+    ascending id to an existing class or one fresh class, the first-fit cover
+    as incumbent, replaced only on strict improvement, pruned by the greedy
+    stable set of the vertices no open class can absorb, and stopped once the
+    incumbent meets the greedy stable set of the whole graph.  Recursive, so
+    keep the inputs small."""
+    n = g.n
+    adj = adjacency_masks(g)
+    greedy: list[int] = []
+    common: list[int] = []
+    for v in range(n):
+        bit = 1 << v
+        for i, c in enumerate(common):
+            if c & bit:
+                greedy[i] |= bit
+                common[i] = c & adj[v]
+                break
+        else:
+            greedy.append(bit)
+            common.append(adj[v])
+    lower = _greedy_stable_size((1 << n) - 1, adj)
+    best_count = len(greedy)
+    best_cover = greedy
+    if best_count > lower:
+        meter = _Meter("theta", budget, n)
+        classes: list[int] = []
+        common = []
+
+        def walk(v: int, rest: int) -> bool:
+            nonlocal best_count, best_cover
+            meter.tick()
+            absorbable = 0
+            for c in common:
+                absorbable |= c
+            if len(classes) + _greedy_stable_size(rest & ~absorbable, adj) >= best_count:
+                return False
+            if v == n:
+                best_count = len(classes)
+                best_cover = list(classes)
+                return best_count == lower
+            bit = 1 << v
+            rest ^= bit
+            for i, c in enumerate(common):
+                if c & bit:
+                    classes[i] |= bit
+                    common[i] = c & adj[v]
+                    if walk(v + 1, rest):
+                        return True
+                    classes[i] ^= bit
+                    common[i] = c
+            classes.append(bit)
+            common.append(adj[v])
+            if walk(v + 1, rest):
+                return True
+            classes.pop()
+            common.pop()
+            return False
+
+        walk(0, (1 << n) - 1)
+    cover = sorted(tuple(sorted(_bits(c))) for c in best_cover)
+    return best_count, tuple(frozenset(c) for c in cover)
 
 
 def square_edges_oracle(g: Graph) -> frozenset[tuple[int, int]]:

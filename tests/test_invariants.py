@@ -6,10 +6,10 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import graphs, labeled_graphs
-from squarestable.codec import decode_graph6
+from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import Graph, square
-from squarestable.invariants import (DEFAULT_BUDGET, BudgetExhausted,
+from squarestable.invariants import (BudgetExhausted,
                                      SolverBudget, alpha,
                                      core_set, count_perfect_matchings,
                                      enumerate_maximal_stable_sets, gamma,
@@ -173,14 +173,57 @@ def test_theta_matches_unpruned_search_on_random_graphs():
                 _theta_matches_unpruned(g)
 
 
+@pytest.mark.parametrize("family", [
+    # G(n, p) across densities, the corpus cells of the benchmark
+    [g for n in (18, 21, 24) for p in (0.2, 0.5, 0.8)
+     for g in generate(GraphFamily.gnp(n, p, 8, seed=n))],
+    # Pruefer trees
+    [g for n in range(20, 29) for g in generate(GraphFamily.random_trees(n, 4, seed=n))],
+    # coronas: pendant vertices with one possible partner each
+    [corona(h) for k in range(8, 11) for h in generate(GraphFamily.gnp(k, 0.3, 3, seed=k))],
+], ids=["gnp", "trees", "coronas"])
+def test_theta_matches_bounded_reference_on_families(family):
+    for g in family:
+        assert theta(g) == oracles.theta_bounded_reference(g), encode_graph6(g)
+
+
 def test_theta_deep_and_tail_inputs():
     # a greedy cover that meets the greedy stable set returns before any
-    # search, so a long path does not recurse once per vertex
+    # search
     assert theta(path(1500))[0] == 750
-    # a G(24, 0.8) draw on which the unbounded search exhausted 10M nodes
+    # a G(24, 0.8) draw on which the unbounded search exhausted 10M nodes and
+    # the ascending-id search with bounds took seconds; the DSATUR value
+    # search and the witness fix take 130 nodes
     tail = decode_graph6("W^vVr|uN~~uV^Z}z^vqfVOn~^^~}zue~NtF~[tvjpvzmz}u")
-    value, cover = theta(tail, DEFAULT_BUDGET)
+    value, cover = theta(tail, SolverBudget(max_nodes=260))
     assert value == 5 and is_clique_partition(tail, cover) and len(cover) == 5
+
+
+@pytest.mark.parametrize("build, value", [
+    ("disjoint_union(path(1500), cycle(5))", 753), ("path(2500)", 1250),
+    ("cycle(2501)", 1251)])
+def test_theta_deep_inputs_end_within_budget(build, value):
+    # each run in its own interpreter under a wall-clock limit: a search that
+    # recursed once per vertex raised RecursionError on P1500 + C5, whose
+    # greedy bound is tight on the path but not on the C5 after it
+    code = (
+        "import time\n"
+        "from squarestable.graphs import disjoint_union\n"
+        "from squarestable.invariants import BudgetExhausted, SolverBudget, theta\n"
+        "from squarestable.named_graphs import cycle, path\n"
+        f"g = {build}\n"
+        "t = time.monotonic()\n"
+        "try:\n"
+        "    out = f'value {theta(g, SolverBudget(max_nodes=200_000, max_seconds=2))[0]}'\n"
+        "except BudgetExhausted as exc:\n"
+        "    out = f'budget {exc.operation}'\n"
+        "print(out, time.monotonic() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    outcome, detail, seconds = proc.stdout.split()
+    assert (outcome, detail) in (("value", str(value)), ("budget", "theta")), proc.stdout
+    assert float(seconds) < 4.0, proc.stdout
 
 
 def test_gamma_is_lex_least_minimum_dominating_set_exhaustively():
