@@ -8,7 +8,12 @@ polynomial (augmenting paths with blossom contraction) and needs no budget.
 
 Determinism: every search visits its nodes in a fixed order.  The stable-set
 style witnesses (alpha, gamma, independent domination) are the
-lexicographically least optimal sets.  The clique-cover witness is the first
+lexicographically least optimal sets: a value search finds the optimum and
+one optimal set, then the witness is fixed one member at a time, least id
+first, each candidate tested by a feasibility run of the same search.
+alpha's search takes every simplicial candidate without branching; that
+rule reads adjacency masks only, never ``simplicial_vertices`` or any other
+invariant a claim compares.  The clique-cover witness is the first
 optimal cover in ascending-id first-fit order (each vertex in id order into
 the first open class it fits, backtracking through the later classes and a
 fresh one), listed in sorted order; ``analyze`` prints it, so its bytes
@@ -113,10 +118,11 @@ def _mask_to_set(mask: int) -> VertexSet:
 # stability number
 
 
-def _first_fit_cliques(cand: int, adj: tuple[int, ...]) -> list[int]:
+def _first_fit_cliques(cand: int, adj: tuple[int, ...], most: int = -1) -> list[int]:
     """Clique cover of ``cand``: each vertex in id order joins the first
     clique whose members are all its neighbors, else starts one.  Its size
-    bounds how many further stable vertices the candidates can contribute."""
+    bounds how many further stable vertices the candidates can contribute.
+    With ``most``, stop as soon as the cover holds more than that many."""
     cliques: list[int] = []
     while cand:
         bit = cand & -cand
@@ -128,43 +134,106 @@ def _first_fit_cliques(cand: int, adj: tuple[int, ...]) -> list[int]:
                 break
         else:
             cliques.append(bit)
+            if len(cliques) == most + 1:
+                break
     return cliques
 
 
-def _alpha_mask(adj: tuple[int, ...], universe: int, meter: _Meter) -> tuple[int, int]:
-    """Exact maximum stable set inside ``universe`` as (size, mask).
+def _stable_search(adj: tuple[int, ...], universe: int, meter: _Meter,
+                   target: int | None = None) -> tuple[int, int] | None:
+    """Maximum stable set inside ``universe`` as (size, mask).  With
+    ``target`` the search is a feasibility test: it returns the first stable
+    set of at least that size, or None when there is none.
 
-    Branches on the smallest candidate vertex, include-branch first, and only
-    replaces the incumbent on strict improvement; among equal-size optima the
-    first one found under that order is the lexicographically least, so that
-    is what comes back.
+    Reduction: a node first takes, without branching, every candidate whose
+    candidate neighbors form a clique (isolated and pendant ones included),
+    until none is left.  Such a simplicial vertex v lies in some maximum
+    stable set of the candidates: one without v, S, meets the clique N(v) in
+    exactly one vertex u (in none, S + v would be larger), and S - u + v is
+    stable and as large.  Bound: the node is cut when its size plus a
+    first-fit clique cover of its candidates cannot beat the incumbent (reach
+    ``target``).  Branching: on the candidate of largest degree among the
+    candidates (ties to the least id), include-branch first.  Depth-first on
+    an explicit stack.
     """
-    best_size = -1
-    best_mask = 0
-
-    def walk(chosen: int, size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
+    limit = 0 if target is None else target  # the size a leaf must reach
+    best = None
+    stack = [(0, 0, universe)]  # open nodes: (size, chosen, candidates)
+    while stack:
+        size, chosen, cand = stack.pop()
         meter.tick()
-        if size + len(_first_fit_cliques(cand, adj)) <= best_size:
-            return
-        if not cand:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        low = cand & -cand
-        v = low.bit_length() - 1
-        walk(chosen | low, size + 1, cand & ~(adj[v] | low))
-        walk(chosen, size, cand ^ low)
-
-    walk(0, 0, universe)
-    return best_size, best_mask
+        while True:
+            top, top_degree, taken = 0, -1, False
+            rest = cand
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nbr = adj[bit.bit_length() - 1] & cand
+                others = nbr
+                while others:
+                    low = others & -others
+                    if nbr & ~adj[low.bit_length() - 1] != low:
+                        break
+                    others ^= low
+                if others:
+                    degree = nbr.bit_count()
+                    if degree > top_degree:
+                        top, top_degree = bit, degree
+                else:
+                    chosen |= bit
+                    size += 1
+                    cand &= ~(nbr | bit)
+                    rest &= cand
+                    taken = True
+            # the degrees are exact only after a pass that took nothing
+            if not taken:
+                break
+        if size >= limit and (target is not None or not cand):
+            best = (size, chosen)
+            if target is not None:
+                return best
+            limit = size + 1
+            continue
+        room = limit - size - 1  # a cover of at most this many cliques cuts the node
+        if not cand or (room > 0 and len(_first_fit_cliques(cand, adj, room)) <= room):
+            continue
+        v = top.bit_length() - 1
+        stack.append((size, chosen, cand ^ top))
+        stack.append((size + 1, chosen | top, cand & ~(adj[v] | top)))
+    return best
 
 
 def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
-    """Stability number with its lexicographically least maximum stable set."""
-    meter = _Meter("alpha", budget, g.n)
-    size, mask = _alpha_mask(adjacency_masks(g), (1 << g.n) - 1, meter)
-    return size, _mask_to_set(mask)
+    """Stability number with its lexicographically least maximum stable set.
+
+    :func:`_stable_search` finds the value and one maximum stable set; then
+    the witness is fixed one member at a time, least id first, as for
+    ``gamma``.  The set found last is an optimal completion of the members
+    fixed so far, so its least new member is feasible without a search; only
+    the candidates below it are tested, each by one feasibility search over
+    the candidates above it.  A candidate that fails is passed for good.
+    """
+    n = g.n
+    adj = adjacency_masks(g)
+    meter = _Meter("alpha", budget, n)
+    value, known = _stable_search(adj, (1 << n) - 1, meter)
+    chosen = 0
+    cand = (1 << n) - 1  # above the last member, adjacent to no member
+    for count in range(value):
+        rest = known & ~chosen
+        pick = rest & -rest
+        below = cand & (pick - 1)
+        while below:
+            bit = below & -below
+            found = _stable_search(adj, cand & ~(adj[bit.bit_length() - 1] | (bit << 1) - 1),
+                                   meter, value - count - 1)
+            if found is not None:
+                pick, known = bit, chosen | bit | found[1]
+                break
+            below ^= bit
+        chosen |= pick
+        cand &= ~(adj[pick.bit_length() - 1] | (pick << 1) - 1)
+    return value, _mask_to_set(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +324,8 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
     Small graphs intersect the materialized family (``family``, when the
     caller already holds ``omega_family(g)``); larger ones use the
     fix-and-test rule: v lies in every maximum stable set exactly when
-    deleting v drops the stability number.
+    deleting v drops the stability number.  Only the members of one maximum
+    stable set can, so each of them is tested by one feasibility search.
     """
     if g.n < 1:
         raise ValueError("core_set requires at least one vertex")
@@ -270,13 +340,10 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
     meter = _Meter("core_set", budget, g.n)
-    size, _ = _alpha_mask(adj, full, meter)
-    out = set()
-    for v in range(g.n):
-        drop, _ = _alpha_mask(adj, full & ~(1 << v), meter)
-        if drop == size - 1:
-            out.add(v)
-    return frozenset(out)
+    size, known = _stable_search(adj, full, meter)
+    # the core lies inside the maximum stable set ``known``
+    return frozenset(v for v in _bits(known)
+                     if _stable_search(adj, full & ~(1 << v), meter, size) is None)
 
 
 # ---------------------------------------------------------------------------

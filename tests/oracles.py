@@ -5,12 +5,13 @@ no code or algorithmic idea with the branch-and-bound / blossom /
 Bron-Kerbosch paths under test.  Exponential on purpose; keep inputs small.
 
 The exceptions are slow routes the real solvers replaced, kept as references
-they must match exactly: :func:`theta_unpruned`, the clique-cover search as
-it ran before its bounds were added (the bounded search must also need no
-more nodes), :func:`theta_bounded_reference`, the same ascending-id search
-with the bounds, as it ran before the DSATUR value search,
-:func:`ind_dom_enumeration`, independent domination by
-listing every maximal stable set, and :func:`least_dominating_set_reference`,
+they must match exactly: :func:`alpha_bounded_reference`, the stable-set
+search as it ran before its reduction rule, :func:`theta_unpruned`, the
+clique-cover search as it ran before its bounds were added (the bounded
+search must also need no more nodes), :func:`theta_bounded_reference`, the
+same ascending-id search with the bounds, as it ran before the DSATUR value
+search, :func:`ind_dom_enumeration`, independent domination by listing every
+maximal stable set, and :func:`least_dominating_set_reference`,
 the domination search for gamma and ind_dom as it ran before it took the
 set-cover rules (least undominated vertex, every candidate, least id first).
 """
@@ -21,8 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from squarestable.graphs import Graph, _bits, adjacency_masks
-from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _greedy_stable_size,
-                                     _maximal_stable_masks, _Meter)
+from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _first_fit_cliques,
+                                     _greedy_stable_size, _maximal_stable_masks, _Meter)
 
 
 def stable(g: Graph, vs) -> bool:
@@ -279,6 +280,37 @@ def theta_unpruned(g: Graph) -> tuple[int, tuple[frozenset[int], ...], int]:
     walk(0)
     cover = sorted(tuple(sorted(_bits(c))) for c in best[1])
     return best[0], tuple(frozenset(c) for c in cover), nodes
+
+
+def alpha_bounded_reference(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
+                            ) -> tuple[int, frozenset[int]]:
+    """alpha as computed before the reduction search: branch on the least
+    candidate, include-branch first, cut when the chosen size plus a
+    first-fit clique cover of the candidates cannot beat the incumbent, and
+    replace the incumbent only on strict improvement, so the first optimum
+    found is the lexicographically least.  Recursive, so keep the inputs
+    small."""
+    adj = adjacency_masks(g)
+    meter = _Meter("alpha", budget, g.n)
+    best_size = -1
+    best_mask = 0
+
+    def walk(chosen: int, size: int, cand: int) -> None:
+        nonlocal best_size, best_mask
+        meter.tick()
+        if size + len(_first_fit_cliques(cand, adj)) <= best_size:
+            return
+        if not cand:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            return
+        low = cand & -cand
+        v = low.bit_length() - 1
+        walk(chosen | low, size + 1, cand & ~(adj[v] | low))
+        walk(chosen, size, cand ^ low)
+
+    walk(0, 0, (1 << g.n) - 1)
+    return best_size, frozenset(_bits(best_mask))
 
 
 def theta_bounded_reference(g: Graph, budget: SolverBudget = DEFAULT_BUDGET

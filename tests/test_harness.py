@@ -113,10 +113,10 @@ def test_planted_mutation_is_caught():
 
 
 def test_budget_exhaustion_records_skips_not_failures():
-    # every solver of the chain decides P3 and its square within 5 nodes;
-    # alpha(C9) needs 9
+    # every solver of the chain decides P3 and its square within 3 nodes;
+    # alpha of the square of comb(8), the chain's first solve, needs 9
     verdict = run_claim("inequality-chain", GraphFamily.graph6_lines(
-        [encode_graph6(cycle(9)), encode_graph6(path(3))], label="unit"),
+        [encode_graph6(comb(8)), encode_graph6(path(3))], label="unit"),
         budget=SolverBudget(max_nodes=8, max_seconds=60.0))
     assert verdict.passed
     assert verdict.skipped == 1
@@ -226,7 +226,9 @@ def test_budget_skip_is_not_memoized():
     tiny = SolverBudget(max_nodes=20, max_seconds=60.0)
     for name in ("inequality-chain", "square-stable-alpha-le-mu"):
         claim = CLAIMS[name]
-        g = comb(5)  # one graph object, evaluated again after each skip
+        # one graph object, evaluated again after each skip; alpha of its
+        # square needs 21 nodes
+        g = comb(20)
         for _ in range(2):
             assert _scan(claim, [g], tiny)[:3] == (1, 0, 1), name
         # the skip leaves the graph answerable in full under a larger budget

@@ -8,8 +8,8 @@ import oracles
 from conftest import graphs, labeled_graphs
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import Graph, square
-from squarestable.invariants import (BudgetExhausted,
+from squarestable.graphs import Graph, disjoint_union, induced_subgraph, square
+from squarestable.invariants import (OMEGA_ENUMERATION_CAP, BudgetExhausted,
                                      SolverBudget, alpha,
                                      core_set, count_perfect_matchings,
                                      enumerate_maximal_stable_sets, gamma,
@@ -70,7 +70,7 @@ def test_core_examples():
 def test_core_fix_and_test_route_matches_enumeration():
     # same graphs through both routes: intersection of the family vs the
     # alpha-drop rule used past the enumeration cap
-    from squarestable.invariants import _Meter, _alpha_mask
+    from squarestable.invariants import _Meter, _stable_search
     from squarestable.graphs import adjacency_masks
 
     for g in [path(6), star(4), cycle(6), braced_ladder(), complete(5)]:
@@ -79,9 +79,9 @@ def test_core_fix_and_test_route_matches_enumeration():
         adj = adjacency_masks(g)
         full = (1 << g.n) - 1
         meter = _Meter("test", SolverBudget())
-        a, _ = _alpha_mask(adj, full, meter)
+        a, _ = _stable_search(adj, full, meter)
         fix = frozenset(v for v in range(g.n)
-                        if _alpha_mask(adj, full & ~(1 << v), meter)[0] == a - 1)
+                        if _stable_search(adj, full & ~(1 << v), meter)[0] == a - 1)
         assert want == fix == core_set(g)
 
 
@@ -187,6 +187,31 @@ def test_theta_matches_bounded_reference_on_families(family):
         assert theta(g) == oracles.theta_bounded_reference(g), encode_graph6(g)
 
 
+def _alpha_matches_reference(g):
+    assert alpha(g) == oracles.alpha_bounded_reference(g), encode_graph6(g)
+
+
+def test_alpha_matches_bounded_reference_exhaustively():
+    for g in labeled_graphs(6):
+        _alpha_matches_reference(g)
+        _alpha_matches_reference(square(g))
+
+
+@pytest.mark.parametrize("family", [
+    # G(n, p) across densities
+    [g for n in range(12, 31, 3) for p in (0.1, 0.2, 0.5, 0.8)
+     for g in generate(GraphFamily.gnp(n, p, 4, seed=n))],
+    # Pruefer trees, solved by the reduction alone, and their squares
+    [h for n in range(10, 30, 3) for g in generate(GraphFamily.random_trees(n, 4, seed=n))
+     for h in (g, square(g))],
+    # coronas: every pendant vertex is taken without branching
+    [corona(h) for k in range(4, 11) for h in generate(GraphFamily.gnp(k, 0.3, 3, seed=k))],
+], ids=["gnp", "trees", "coronas"])
+def test_alpha_matches_bounded_reference_on_families(family):
+    for g in family:
+        _alpha_matches_reference(g)
+
+
 def test_theta_deep_and_tail_inputs():
     # a greedy cover that meets the greedy stable set returns before any
     # search
@@ -199,22 +224,25 @@ def test_theta_deep_and_tail_inputs():
     assert value == 5 and is_clique_partition(tail, cover) and len(cover) == 5
 
 
-@pytest.mark.parametrize("build, value", [
-    ("disjoint_union(path(1500), cycle(5))", 753), ("path(2500)", 1250),
-    ("cycle(2501)", 1251)])
-def test_theta_deep_inputs_end_within_budget(build, value):
+@pytest.mark.parametrize("solver, build, value", [
+    ("theta", "disjoint_union(path(1500), cycle(5))", 753), ("theta", "path(2500)", 1250),
+    ("theta", "cycle(2501)", 1251), ("alpha", "disjoint_union(path(1500), cycle(5))", 752),
+    ("alpha", "path(2500)", 1250), ("alpha", "cycle(2501)", 1250)])
+def test_theta_deep_inputs_end_within_budget(solver, build, value):
     # each run in its own interpreter under a wall-clock limit: a search that
     # recursed once per vertex raised RecursionError on P1500 + C5, whose
-    # greedy bound is tight on the path but not on the C5 after it
+    # greedy bound is tight on the path but not on the C5 after it.  alpha
+    # must decide all three: its reduction takes every path vertex without
+    # branching, and a cycle after one branch
     code = (
         "import time\n"
         "from squarestable.graphs import disjoint_union\n"
-        "from squarestable.invariants import BudgetExhausted, SolverBudget, theta\n"
+        f"from squarestable.invariants import BudgetExhausted, SolverBudget, {solver}\n"
         "from squarestable.named_graphs import cycle, path\n"
         f"g = {build}\n"
         "t = time.monotonic()\n"
         "try:\n"
-        "    out = f'value {theta(g, SolverBudget(max_nodes=200_000, max_seconds=2))[0]}'\n"
+        f"    out = f'value {{{solver}(g, SolverBudget(max_nodes=200_000, max_seconds=2))[0]}}'\n"
         "except BudgetExhausted as exc:\n"
         "    out = f'budget {exc.operation}'\n"
         "print(out, time.monotonic() - t)\n")
@@ -222,7 +250,10 @@ def test_theta_deep_inputs_end_within_budget(build, value):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     outcome, detail, seconds = proc.stdout.split()
-    assert (outcome, detail) in (("value", str(value)), ("budget", "theta")), proc.stdout
+    decided = {("value", str(value))}
+    if solver == "theta":
+        decided.add(("budget", "theta"))
+    assert (outcome, detail) in decided, proc.stdout
     assert float(seconds) < 4.0, proc.stdout
 
 
@@ -327,6 +358,21 @@ def test_maximal_cliques_match_oracle_exhaustively():
             assert maximal_cliques(g) == oracles.maximal_cliques_oracle(g)
 
 
+def test_core_set_past_the_cap_matches_alpha_drop_rule():
+    # past the enumeration cap core_set tests only the members of one
+    # maximum stable set; the reference deletes every vertex in turn
+    family = ([g for n in (17, 20) for p in (0.15, 0.3, 0.6)
+               for g in generate(GraphFamily.gnp(n, p, 2, seed=n))]
+              + list(generate(GraphFamily.random_trees(18, 3, seed=18)))
+              + [corona(cycle(9)), square(corona(path(9)))])
+    for g in family:
+        assert g.n > OMEGA_ENUMERATION_CAP
+        a = oracles.alpha_bounded_reference(g)[0]
+        want = {v for v in range(g.n) if oracles.alpha_bounded_reference(
+            induced_subgraph(g, set(range(g.n)) - {v})[0])[0] < a}
+        assert core_set(g) == want, encode_graph6(g)
+
+
 def test_core_set_takes_the_known_family():
     for g in [path(6), star(4), cycle(6), braced_ladder(), square(braced_ladder())]:
         assert core_set(g, family=omega_family(g)) == core_set(g)
@@ -343,7 +389,9 @@ def test_omega_family_matches_oracle_exhaustively():
 def test_budget_exhaustion_is_explicit():
     tiny = SolverBudget(max_nodes=3, max_seconds=60.0)
     with pytest.raises(BudgetExhausted) as err:
-        alpha(cycle(9), tiny)
+        # no vertex of C5 + C5 is simplicial, so alpha branches on each
+        # cycle (7 nodes); C9 takes one branch and two reductions (3 nodes)
+        alpha(disjoint_union(cycle(5), cycle(5)), tiny)
     assert err.value.operation == "alpha"
     assert err.value.nodes_used == 4
     with pytest.raises(BudgetExhausted):
@@ -353,24 +401,30 @@ def test_budget_exhaustion_is_explicit():
 
 
 def test_time_cap_holds_when_nodes_are_expensive():
-    # an alpha node on P1500 + C5 costs tens of milliseconds: a clock read
-    # every 4,096 ticks let this call run for many times its time cap
+    # alpha branches on each of the twenty C5s, whose clique bound (3) is
+    # above their stability number (2), while every node scans the C1501 and
+    # builds its 751-clique bound: a node costs tens of milliseconds, so a
+    # clock read every 4,096 ticks would let this call run for many times its
+    # time cap
     code = (
         "import time\n"
         "from squarestable.graphs import disjoint_union\n"
         "from squarestable.invariants import BudgetExhausted, SolverBudget, alpha\n"
-        "from squarestable.named_graphs import cycle, path\n"
-        "g = disjoint_union(path(1500), cycle(5))\n"
+        "from squarestable.named_graphs import cycle\n"
+        "g = disjoint_union(*[cycle(5)] * 20, cycle(1501))\n"
         "t = time.monotonic()\n"
         "try:\n"
         "    alpha(g, SolverBudget(max_nodes=200_000, max_seconds=2))\n"
+        "    out = 'value'\n"
         "except BudgetExhausted:\n"
-        "    pass\n"
-        "print(time.monotonic() - t)\n")
+        "    out = 'budget'\n"
+        "print(out, time.monotonic() - t)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 4.0, proc.stdout
+    outcome, seconds = proc.stdout.split()
+    assert outcome == "budget", proc.stdout
+    assert float(seconds) < 4.0, proc.stdout
 
 
 def test_small_graph_call_reads_the_clock_once(monkeypatch):

@@ -150,7 +150,8 @@ def test_recognize_cross_check_under_tiny_budgets():
 def test_recognize_budget_exhaustion_flags_fields_none():
     from squarestable.invariants import SolverBudget
 
-    p = recognize(cycle(9), SolverBudget(max_nodes=3, max_seconds=60.0))
+    # alpha branches on each cycle of C5 + C5 (7 nodes)
+    p = recognize(disjoint_union(cycle(5), cycle(5)), SolverBudget(max_nodes=3, max_seconds=60.0))
     assert p.is_ke is None
     assert "budget_exhausted" in p.certificates["alpha"]
     # the structural flags never need a budget
