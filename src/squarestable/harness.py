@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .codec import decode_graph6, encode_graph6
@@ -26,9 +25,9 @@ from .families import GraphFamily, generate
 from .graphs import (Graph, components, delete_closed_neighborhood, distances,
                      girth_at_least, is_connected, is_cycle_of_length, is_tree,
                      memoized, pendant_edges, square)
-from .invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP, BudgetExhausted,
-                         SolverBudget, alpha, count_perfect_matchings, core_set,
-                         gamma, ind_dom, mu, omega_family, simplexes,
+from .invariants import (DEFAULT_BUDGET, BudgetExhausted, SolverBudget, _Meter,
+                         _stable_search, alpha, count_perfect_matchings,
+                         core_set, gamma, ind_dom, mu, omega_union, simplexes,
                          simplicial_vertices, theta)
 from .recognizers import (has_pendant_perfect_matching, is_koenig_egervary,
                           is_simplicial_graph, is_square_stable,
@@ -88,44 +87,28 @@ class Claim:
 # predicates are looked up as module globals at each call.
 
 
-def _omega(g: Graph, budget: SolverBudget) -> list[frozenset[int]]:
-    """Ω(g) from the memo.  A graph past ``OMEGA_ENUMERATION_CAP`` is a budget
-    skip, since its family is never materialized."""
-    if g.n > OMEGA_ENUMERATION_CAP:
-        raise BudgetExhausted("omega_family", 0)
-    return memoized(g, omega_family, budget)
+def _distance3_maximum_stable_set_exists(g, budget) -> bool:
+    """Some maximum stable set is pairwise at distance >= 3: one feasibility
+    search for alpha(g) vertices over the pairs that ``distances`` puts
+    closer than 3.  It reads neither the square nor its stability number."""
+    close = tuple(sum(1 << u for u, d in enumerate(row) if d is not None and 0 < d < 3)
+                  for row in distances(g))
+    target = memoized(g, alpha, budget)[0]
+    meter = _Meter("distance3_maximum_stable_set", budget, g.n)
+    return _stable_search(close, (1 << g.n) - 1, meter, target) is not None
 
 
-def _core(g: Graph, budget: SolverBudget) -> frozenset[int]:
-    """core(g) from the memo, intersecting the memoized Ω where it is
-    materialized."""
-    family = memoized(g, omega_family, budget) if g.n <= OMEGA_ENUMERATION_CAP else None
-    return memoized(g, core_set, budget, family)
-
-
-def _distance3_omega_member_exists(g, budget) -> bool:
-    """Literal reading: some maximum stable set is pairwise at distance >= 3."""
-    d = distances(g)
-    for s in _omega(g, budget):
-        ok = True
-        for u, v in combinations(sorted(s), 2):
-            if d[u][v] is not None and d[u][v] < 3:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _expected_square_omega(g, matching) -> list[frozenset[int]]:
-    """Maximum stable sets of the square forced by a pendant perfect matching:
-    one pendant endpoint per matched edge, the choice being free only on
-    two-vertex components where both endpoints are pendant."""
-    per_edge = []
-    for u, v in sorted(matching):
-        ends = [w for w in (u, v) if g.degree(w) == 1]
-        per_edge.append(ends)
-    return sorted((frozenset(pick) for pick in product(*per_edge)), key=sorted)
+def _square_omega_is_pendant_selections(g, matching, budget) -> bool:
+    """Ω(G²) is the selections of ``matching`` (one pendant end per matched
+    edge) iff ∪Ω(G²) lies inside the pendant ends and every selection is
+    stable in G².  Then a maximum stable set S of G² takes at most one end
+    per edge, whose ends are adjacent, and α(G²) >= |M| >= |S| = α(G²), so S
+    is a selection; each stable selection has size |M| = α(G²)."""
+    sq = memoized(g, square)
+    ends = [frozenset(w for w in edge if g.degree(w) == 1) for edge in matching]
+    every = frozenset().union(*ends)
+    return (memoized(sq, omega_union, budget) <= every
+            and all(not sq.neighbors(w) & (every - pair) for pair in ends for w in pair))
 
 
 def _equal_or_table(conditions: dict[str, bool], values: dict | None = None) -> dict | None:
@@ -181,7 +164,7 @@ def _violation_equivalences(g, budget):
         "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,
         "simplicial_and_well_covered": (is_simplicial_graph(g)
                                         and memoized(g, is_well_covered, budget)[0]),
-        "distance3_maximum_stable_set": _distance3_omega_member_exists(g, budget),
+        "distance3_maximum_stable_set": _distance3_maximum_stable_set_exists(g, budget),
     }
     return _equal_or_table(conditions, {
         "alpha": a, "alpha_square": a2, "theta": t, "theta_square": t2,
@@ -194,10 +177,9 @@ def _applies_connected_square_stable(g, budget):
 
 def _violation_simplicial_correspondence(g, budget):
     sq = memoized(g, square)
-    omega_sq = _omega(sq, budget)
-    union = frozenset().union(*omega_sq) if omega_sq else frozenset()
+    union = memoized(sq, omega_union, budget)
     simp = simplicial_vertices(g)
-    core_sq = _core(sq, budget)
+    core_sq = memoized(sq, core_set, budget)
     lone = set()
     for s in simplexes(g, budget):
         owners = s & simp
@@ -223,17 +205,16 @@ def _applies_pendant_pm(g, budget):
 def _violation_pendant_matching(g, budget):
     m = memoized(g, has_pendant_perfect_matching)
     assert m is not None
-    expected = _expected_square_omega(g, m)
-    got = _omega(memoized(g, square), budget)
     conditions = {
         "square_stable": is_square_stable(g, budget),
-        "square_omega_is_pendant_selections": got == expected,
+        "square_omega_is_pendant_selections": _square_omega_is_pendant_selections(
+            g, m, budget),
     }
     if all(conditions.values()):
         return None
     return {"conditions": conditions, "values": {
-        "square_omega": [sorted(s) for s in got],
-        "expected": [sorted(s) for s in expected]}}
+        "square_omega_union": sorted(memoized(memoized(g, square), omega_union, budget)),
+        "pendant_ends": sorted(w for e in m for w in e if g.degree(w) == 1)}}
 
 
 def _applies_connected_ke(g, budget):
@@ -334,13 +315,13 @@ def _violation_girth6(g, budget):
         "very_well_covered": is_very_well_covered(g, budget),
         "ke_alpha_pendants_empty_core": (is_koenig_egervary(g, budget)
                                          and len(pendant_edges(g)) == a
-                                         and not _core(g, budget)),
+                                         and not memoized(g, core_set, budget)),
         "ke_and_square_stable": (is_koenig_egervary(g, budget)
                                  and is_square_stable(g, budget)),
     }
     return _equal_or_table(conditions, {
         "alpha": a, "pendant_edges": len(pendant_edges(g)),
-        "core": sorted(_core(g, budget))})
+        "core": sorted(memoized(g, core_set, budget))})
 
 
 def _is_complete_graph(g):
@@ -418,7 +399,9 @@ def _applies_unique_pm(g, budget):
 
 
 def _applies_unique_square_omega(g, budget):
-    return g.n >= 1 and len(_omega(memoized(g, square), budget)) == 1
+    # |Ω| = 1 exactly when the union of Ω equals its intersection
+    sq = memoized(g, square)
+    return g.n >= 1 and memoized(sq, omega_union, budget) == memoized(sq, core_set, budget)
 
 
 def _applies_ke_alpha_pendants(g, budget):

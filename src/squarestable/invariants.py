@@ -34,7 +34,7 @@ from .graphs import girth as _girth
 Matching = frozenset[tuple[int, int]]
 
 #: Materializing every maximum stable set is reserved for graphs up to this
-#: order; past it, core_set() switches to vertex-by-vertex fix-and-test.
+#: order; core_set() and omega_union() read no family and take any order.
 OMEGA_ENUMERATION_CAP = 16
 
 
@@ -237,7 +237,7 @@ def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexS
 
 
 # ---------------------------------------------------------------------------
-# maximal stable sets, Omega, core
+# maximal stable sets, Omega, its union and core
 
 
 def _bron_kerbosch(nbr: list[int] | tuple[int, ...], full: int,
@@ -317,26 +317,15 @@ def omega_family(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Vertex
     return fam
 
 
-def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
-             family: list[VertexSet] | None = None) -> VertexSet:
+def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
     """Intersection of all maximum stable sets.
 
-    Small graphs intersect the materialized family (``family``, when the
-    caller already holds ``omega_family(g)``); larger ones use the
-    fix-and-test rule: v lies in every maximum stable set exactly when
-    deleting v drops the stability number.  Only the members of one maximum
-    stable set can, so each of them is tested by one feasibility search.
+    Fix-and-test: v lies in every maximum stable set exactly when deleting v
+    drops the stability number.  Only the members of one maximum stable set
+    can, so each of them is tested by one feasibility search.
     """
     if g.n < 1:
         raise ValueError("core_set requires at least one vertex")
-    if g.n <= OMEGA_ENUMERATION_CAP:
-        fam = omega_family(g, budget) if family is None else family
-        core = set(fam[0])
-        for s in fam[1:]:
-            core &= s
-            if not core:
-                break
-        return frozenset(core)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
     meter = _Meter("core_set", budget, g.n)
@@ -344,6 +333,32 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
     # the core lies inside the maximum stable set ``known``
     return frozenset(v for v in _bits(known)
                      if _stable_search(adj, full & ~(1 << v), meter, size) is None)
+
+
+def omega_union(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
+    """Union of all maximum stable sets.
+
+    v lies in some maximum stable set exactly when alpha(G - N[v]) =
+    alpha - 1: such a set is v plus a stable set of G - N[v].  The members
+    of one maximum stable set need no test; each other vertex is tested by
+    one feasibility search, and a set it finds puts its members in the
+    union as well.
+    """
+    if g.n < 1:
+        raise ValueError("omega_union requires at least one vertex")
+    adj = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    meter = _Meter("omega_union", budget, g.n)
+    size, union = _stable_search(adj, full, meter)
+    rest = full & ~union
+    while rest:
+        bit = rest & -rest
+        found = _stable_search(adj, full & ~(adj[bit.bit_length() - 1] | bit), meter,
+                               size - 1)
+        if found is not None:
+            union |= bit | found[1]
+        rest &= ~(union | bit)
+    return _mask_to_set(union)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,20 @@ search, :func:`ind_dom_enumeration`, independent domination by listing every
 maximal stable set, and :func:`least_dominating_set_reference`,
 the domination search for gamma and ind_dom as it ran before it took the
 set-cover rules (least undominated vertex, every candidate, least id first).
+The harness's Omega-free claim routes are held to the routes they replaced:
+:func:`distance3_omega_member_exists` scans the materialized Omega, and
+:func:`pendant_selections` lists the sets a pendant perfect matching forces.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from squarestable.graphs import Graph, _bits, adjacency_masks
+from squarestable.graphs import Graph, _bits, adjacency_masks, distances
 from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, _first_fit_cliques,
-                                     _greedy_stable_size, _maximal_stable_masks, _Meter)
+                                     _greedy_stable_size, _maximal_stable_masks, _Meter,
+                                     omega_family)
 
 
 def stable(g: Graph, vs) -> bool:
@@ -402,3 +406,28 @@ def floyd_warshall_oracle(g: Graph) -> list[list[float]]:
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def distance3_omega_member_exists(g: Graph) -> bool:
+    """Literal reading: some maximum stable set is pairwise at distance >= 3."""
+    d = distances(g)
+    for s in omega_family(g):
+        ok = True
+        for u, v in combinations(sorted(s), 2):
+            if d[u][v] is not None and d[u][v] < 3:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def pendant_selections(g: Graph, matching) -> list[frozenset[int]]:
+    """Maximum stable sets of the square forced by a pendant perfect matching:
+    one pendant endpoint per matched edge, the choice being free only on
+    two-vertex components where both endpoints are pendant."""
+    per_edge = []
+    for u, v in sorted(matching):
+        ends = [w for w in (u, v) if g.degree(w) == 1]
+        per_edge.append(ends)
+    return sorted((frozenset(pick) for pick in product(*per_edge)), key=sorted)

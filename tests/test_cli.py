@@ -156,19 +156,16 @@ def test_verify_budget_exhaustion_exit_3():
     assert verdict["skipped"] > 0 and verdict["passed"]
 
 
-def test_verify_counts_graphs_past_the_omega_cap_as_skipped():
-    # 18-vertex trees: the claims that materialize Omega skip them instead
-    # of ending the run with a usage error
+def test_verify_checks_graphs_past_sixteen_vertices_in_full():
+    # 18-vertex trees: no claim materializes Omega, so none skips them
     code, out, err = run_cli([
         "verify", "--theorem", "all", "--family", "trees:18:10", "--seed", "2"])
-    assert code == 3, err
+    assert code == 0, err
     verdicts = {v["theorem"]: v for v in map(json.loads, out.splitlines())}
     assert len(verdicts) == 12
-    assert all(v["passed"] for v in verdicts.values())
-    assert verdicts["inequality-chain"]["complete"]
+    assert all(v["passed"] and v["skipped"] == 0 for v in verdicts.values())
     assert verdicts["inequality-chain"]["graphs_checked"] == 10
-    equivalences = verdicts["square-stable-equivalences"]
-    assert equivalences["skipped"] == 10 and not equivalences["complete"]
+    assert verdicts["square-stable-equivalences"]["graphs_checked"] == 10
 
 
 def test_verify_usage_error_exit_2():

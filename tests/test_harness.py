@@ -1,23 +1,28 @@
 import json
 from collections import Counter
 
+import oracles
 import squarestable.invariants as invariants
-from conftest import patch_everywhere
+from conftest import labeled_graphs, patch_everywhere
 from squarestable.codec import decode_graph6, encode_graph6
-from squarestable.families import GraphFamily
-from squarestable.graphs import disjoint_union, is_cycle_of_length
+from squarestable.families import GraphFamily, generate
+from squarestable.graphs import disjoint_union, is_cycle_of_length, square
 from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
                                   CONTROL_FAMILIES, Claim,
                                   _applies_connected_ke, _applies_girth6,
                                   _applies_pendant_pm, _applies_tree,
-                                  _applies_unique_pm, _scan,
+                                  _applies_unique_pm,
+                                  _distance3_maximum_stable_set_exists, _scan,
+                                  _square_omega_is_pendant_selections,
                                   reverify_counterexample, run_claim,
                                   run_negative_controls)
 from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
-                                    SolverBudget, gamma, ind_dom)
+                                    SolverBudget, core_set, gamma, ind_dom,
+                                    omega_family, omega_union)
 from squarestable.named_graphs import (GALLERY, c4_with_two_pendants, comb,
-                                       complete, cycle, double_star,
+                                       complete, corona, cycle, double_star,
                                        fused_triangles, path, paw, star)
+from squarestable.recognizers import has_pendant_perfect_matching
 
 SMALL = [GraphFamily.exhaustive(n) for n in range(1, 5)]
 
@@ -235,16 +240,52 @@ def test_budget_skip_is_not_memoized():
         assert _scan(claim, [g], DEFAULT_BUDGET)[:3] == (1, 1, 0), name
 
 
-def test_claims_reading_omega_skip_graphs_past_the_cap():
+def test_claims_reading_omega_check_graphs_past_sixteen_vertices():
     g = comb(9)  # 18 vertices, connected, with a pendant perfect matching
     assert g.n > OMEGA_ENUMERATION_CAP
     for name in ("square-stable-equivalences", "square-simplicial-correspondence",
                  "pendant-matching-implies-square-stable",
-                 "control-unique-square-maximum-implies-square-stable"):
-        assert _scan(ALL_CLAIMS[name], [g], DEFAULT_BUDGET)[:3] == (1, 0, 1), name
-    # the claims that never materialize Omega still check the graph
-    for name in ("inequality-chain", "girth6-well-covered-equivalences"):
+                 "control-unique-square-maximum-implies-square-stable",
+                 "inequality-chain", "girth6-well-covered-equivalences"):
         assert _scan(ALL_CLAIMS[name], [g], DEFAULT_BUDGET)[:3] == (1, 1, 0), name
+
+
+def test_omega_free_routes_match_the_materialized_family():
+    # every labeled graph up to 6 vertices with its square, and seeded G(n,p)
+    # up to the enumeration cap: the union, the core and the distance-3 route
+    # against Omega itself
+    graphs = [g for g in labeled_graphs(6) if g.n]
+    graphs += [g for n in range(8, OMEGA_ENUMERATION_CAP + 1) for p in (0.15, 0.3, 0.5, 0.7)
+               for g in generate(GraphFamily.gnp(n, p, 10, seed=n))]
+    for g in graphs:
+        for h in (g, square(g)):
+            fam = omega_family(h)
+            union, core = frozenset().union(*fam), frozenset.intersection(*fam)
+            assert omega_union(h) == union, encode_graph6(h)
+            assert core_set(h) == core, encode_graph6(h)
+            assert (len(fam) == 1) == (union == core), encode_graph6(h)
+        assert (_distance3_maximum_stable_set_exists(g, DEFAULT_BUDGET)
+                == oracles.distance3_omega_member_exists(g)), encode_graph6(g)
+
+
+def test_pendant_selection_rule_matches_the_materialized_family():
+    graphs = [g for g in labeled_graphs(6) if g.n]
+    graphs += [g for n in range(2, OMEGA_ENUMERATION_CAP + 1)
+               for g in generate(GraphFamily.random_trees(n, 40, seed=n))]
+    graphs += [corona(t) for n in range(1, OMEGA_ENUMERATION_CAP // 2 + 1)
+               for t in generate(GraphFamily.random_trees(n, 10, seed=n))]
+    graphs += [corona(cycle(k)) for k in range(3, 9)]
+    graphs += [disjoint_union(corona(cycle(5)), disjoint_union(path(2), path(2)))]
+    checked = 0
+    for g in graphs:
+        m = has_pendant_perfect_matching(g)
+        if m is None:
+            continue
+        checked += 1
+        want = omega_family(square(g)) == oracles.pendant_selections(g, m)
+        assert _square_omega_is_pendant_selections(g, m, DEFAULT_BUDGET) == want, \
+            encode_graph6(g)
+    assert checked > 800
 
 
 def test_memoized_facts_match_a_fresh_graph():
@@ -262,7 +303,7 @@ def test_memoized_facts_match_a_fresh_graph():
 def test_solvers_run_once_per_graph_across_claims(monkeypatch):
     # P4 meets the hypotheses of the chain, the equivalences, the square's
     # simplicial correspondence and the pendant-matching claim, which between
-    # them read gamma, i, Omega(G), Omega(G^2) and the square's core
+    # them read gamma, i, and the union and core of Omega(G^2)
     calls = Counter()
     solved_on = []  # keeps each graph alive, so no two share an id()
 
@@ -273,7 +314,8 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
             return real(g, *args, **kwargs)
         return solver
 
-    for name in ("gamma", "ind_dom", "omega_family", "core_set", "alpha", "theta"):
+    for name in ("gamma", "ind_dom", "omega_family", "omega_union", "core_set",
+                 "alpha", "theta"):
         real = getattr(invariants, name)
         patch_everywhere(monkeypatch, real, counting(name, real))
     g = path(4)
@@ -282,4 +324,5 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
     assert max(calls.values()) == 1
     solved = Counter(name for name, _ in calls)
     assert solved["gamma"] == solved["ind_dom"] == 1
-    assert solved["omega_family"] == 2  # on G and on its square
+    assert solved["omega_union"] == 1  # on the square
+    assert solved["omega_family"] == 0

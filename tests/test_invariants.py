@@ -17,7 +17,7 @@ from squarestable.invariants import (OMEGA_ENUMERATION_CAP, BudgetExhausted,
                                      is_clique_partition, is_dominating_set,
                                      is_matching, is_maximal_stable_set,
                                      is_stable_set, maximal_cliques, mu,
-                                     omega_family, simplexes,
+                                     omega_family, omega_union, simplexes,
                                      simplicial_vertices, theta)
 from squarestable.named_graphs import (braced_ladder, complete,
                                        complete_bipartite, corona, cycle,
@@ -69,7 +69,7 @@ def test_core_examples():
 
 def test_core_fix_and_test_route_matches_enumeration():
     # same graphs through both routes: intersection of the family vs the
-    # alpha-drop rule used past the enumeration cap
+    # alpha-drop rule that core_set applies at every order
     from squarestable.invariants import _Meter, _stable_search
     from squarestable.graphs import adjacency_masks
 
@@ -359,8 +359,9 @@ def test_maximal_cliques_match_oracle_exhaustively():
 
 
 def test_core_set_past_the_cap_matches_alpha_drop_rule():
-    # past the enumeration cap core_set tests only the members of one
-    # maximum stable set; the reference deletes every vertex in turn
+    # past the enumeration cap, where Omega is not materialized: core_set
+    # tests only the members of one maximum stable set; the reference
+    # deletes every vertex in turn
     family = ([g for n in (17, 20) for p in (0.15, 0.3, 0.6)
                for g in generate(GraphFamily.gnp(n, p, 2, seed=n))]
               + list(generate(GraphFamily.random_trees(18, 3, seed=18)))
@@ -371,11 +372,6 @@ def test_core_set_past_the_cap_matches_alpha_drop_rule():
         want = {v for v in range(g.n) if oracles.alpha_bounded_reference(
             induced_subgraph(g, set(range(g.n)) - {v})[0])[0] < a}
         assert core_set(g) == want, encode_graph6(g)
-
-
-def test_core_set_takes_the_known_family():
-    for g in [path(6), star(4), cycle(6), braced_ladder(), square(braced_ladder())]:
-        assert core_set(g, family=omega_family(g)) == core_set(g)
 
 
 def test_omega_family_matches_oracle_exhaustively():
@@ -502,6 +498,7 @@ def test_omega_and_core_properties(g):
     for s in fam:
         assert core <= s
     assert core == frozenset(set.intersection(*map(set, fam)))
+    assert omega_union(g) == frozenset(set.union(*map(set, fam)))
 
 
 @settings(max_examples=150, deadline=None)
