@@ -184,6 +184,13 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
                    help="edgelist reads one graph: first line 'n m', then m 'u v' lines")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=10_000_000,
                    help="search-node cap per solver call")
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true",
                    help="restrict the family to connected graphs")
     p.add_argument("--seed", type=int, default=0, help="seed for random families")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the family scan")
     _add_budget_options(p)
     p.set_defaults(func=_cmd_verify)

@@ -158,7 +158,7 @@ def _violation_equivalences(g, budget):
     gam = memoized(g, gamma, budget)[0]
     ind = memoized(g, ind_dom, budget)[0]
     conditions = {
-        "unique_simplex_cover": vertex_in_exactly_one_simplex(g, budget),
+        "unique_simplex_cover": vertex_in_exactly_one_simplex(g),
         "alpha_square_equal": a == a2,
         "theta_square_equal": t == t2,
         "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,
@@ -181,7 +181,7 @@ def _violation_simplicial_correspondence(g, budget):
     simp = simplicial_vertices(g)
     core_sq = memoized(sq, core_set, budget)
     lone = set()
-    for s in simplexes(g, budget):
+    for s in simplexes(g):
         owners = s & simp
         if len(owners) == 1:
             lone |= owners

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, VertexSet, _bits, adjacency_masks, memoized
 from .graphs import girth as _girth
@@ -203,37 +203,56 @@ def _stable_search(adj: tuple[int, ...], universe: int, meter: _Meter,
     return best
 
 
+def _fix_least(value: int, known: int, full: int, block: Sequence[int] | None,
+               complete: Callable[[int, int, int], int | None]) -> int:
+    """The lexicographically least optimal set, as a mask, fixed one member
+    at a time, least id first.
+
+    ``known`` is an optimal set.  ``complete(chosen, bit, allowed)`` returns
+    an optimal set that holds the members ``chosen`` fixed so far and the
+    candidate ``bit``, with every other member in ``allowed`` (above ``bit``,
+    outside ``block`` of each member), or None.  The set found last completes
+    the members fixed so far, so its least new member needs no test; only the
+    candidates below it are tested, least first.  A candidate that fails, or
+    that ``block`` of a member excludes, is passed for good.
+    """
+    def after(bit: int, allowed: int) -> int:
+        return allowed & ~((bit << 1) - 1 | (block[bit.bit_length() - 1] if block else 0))
+
+    chosen, allowed = 0, full
+    for _ in range(value):
+        rest = known & ~chosen
+        pick = rest & -rest
+        below = allowed & (pick - 1)
+        while below:
+            bit = below & -below
+            found = complete(chosen, bit, after(bit, allowed))
+            if found is not None:
+                pick, known = bit, found
+                break
+            below ^= bit
+        chosen |= pick
+        allowed = after(pick, allowed)
+    return chosen
+
+
 def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
     """Stability number with its lexicographically least maximum stable set.
 
     :func:`_stable_search` finds the value and one maximum stable set; then
-    the witness is fixed one member at a time, least id first, as for
-    ``gamma``.  The set found last is an optimal completion of the members
-    fixed so far, so its least new member is feasible without a search; only
-    the candidates below it are tested, each by one feasibility search over
-    the candidates above it.  A candidate that fails is passed for good.
+    :func:`_fix_least` fixes the witness, testing each candidate by one
+    feasibility search over the candidates above it and adjacent to no member.
     """
     n = g.n
     adj = adjacency_masks(g)
     meter = _Meter("alpha", budget, n)
     value, known = _stable_search(adj, (1 << n) - 1, meter)
-    chosen = 0
-    cand = (1 << n) - 1  # above the last member, adjacent to no member
-    for count in range(value):
-        rest = known & ~chosen
-        pick = rest & -rest
-        below = cand & (pick - 1)
-        while below:
-            bit = below & -below
-            found = _stable_search(adj, cand & ~(adj[bit.bit_length() - 1] | (bit << 1) - 1),
-                                   meter, value - count - 1)
-            if found is not None:
-                pick, known = bit, chosen | bit | found[1]
-                break
-            below ^= bit
-        chosen |= pick
-        cand &= ~(adj[pick.bit_length() - 1] | (pick << 1) - 1)
-    return value, _mask_to_set(chosen)
+
+    def complete(chosen: int, bit: int, allowed: int) -> int | None:
+        found = _stable_search(adj, allowed, meter, value - chosen.bit_count() - 1)
+        return None if found is None else chosen | bit | found[1]
+
+    return value, _mask_to_set(_fix_least(value, known, (1 << n) - 1, adj, complete))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +340,16 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
     """Intersection of all maximum stable sets.
 
     Fix-and-test: v lies in every maximum stable set exactly when deleting v
-    drops the stability number.  Only the members of one maximum stable set
-    can, so each of them is tested by one feasibility search.
+    drops the stability number.  Only the members of one maximum stable set,
+    alpha's witness, can, so each of them is tested by one feasibility search.
     """
     if g.n < 1:
         raise ValueError("core_set requires at least one vertex")
+    size, known = memoized(g, alpha, budget)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
     meter = _Meter("core_set", budget, g.n)
-    size, known = _stable_search(adj, full, meter)
-    # the core lies inside the maximum stable set ``known``
-    return frozenset(v for v in _bits(known)
+    return frozenset(v for v in sorted(known)
                      if _stable_search(adj, full & ~(1 << v), meter, size) is None)
 
 
@@ -340,16 +358,17 @@ def omega_union(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
 
     v lies in some maximum stable set exactly when alpha(G - N[v]) =
     alpha - 1: such a set is v plus a stable set of G - N[v].  The members
-    of one maximum stable set need no test; each other vertex is tested by
-    one feasibility search, and a set it finds puts its members in the
-    union as well.
+    of alpha's witness need no test; each other vertex is tested by one
+    feasibility search, and a set it finds puts its members in the union as
+    well.
     """
     if g.n < 1:
         raise ValueError("omega_union requires at least one vertex")
+    size, known = memoized(g, alpha, budget)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
     meter = _Meter("omega_union", budget, g.n)
-    size, union = _stable_search(adj, full, meter)
+    union = sum(1 << v for v in known)
     rest = full & ~union
     while rest:
         bit = rest & -rest
@@ -801,30 +820,16 @@ def _least_dominating_set(g: Graph, budget: SolverBudget,
     found = _dominating_search(closed, full, max_cover, stable, meter)
     assert found is not None
     value, known = found
-    # lexicographic fix pass: grow the witness smallest-vertex-first, keeping
-    # a completion of the optimal size reachable at every step.  ``known`` is
-    # such a completion, so its least new member is feasible without a search
-    # and only the ids below it need one.  With ``stable``, a vertex adjacent
-    # to a chosen one cannot join the set, so it needs no search either
-    chosen = blocked = 0
-    next_candidate = 0
-    for _ in range(value):
-        rest = known & ~chosen
-        pick = (rest & -rest).bit_length() - 1
-        for v in range(next_candidate, pick):
-            if blocked >> v & 1:
-                continue
-            found = _dominating_search(closed, full, max_cover, stable, meter,
-                                       forced=chosen | (1 << v), candidates_from=v + 1,
-                                       stop_at=value)
-            if found is not None and found[0] <= value:
-                pick, known = v, found[1]
-                break
-        chosen |= 1 << pick
-        if stable:
-            blocked |= closed[pick]
-        next_candidate = pick + 1
-    return value, _mask_to_set(chosen)
+
+    def complete(chosen: int, bit: int, allowed: int) -> int | None:
+        found = _dominating_search(closed, full, max_cover, stable, meter,
+                                   forced=chosen | bit, candidates_from=bit.bit_length(),
+                                   stop_at=value)
+        return found[1] if found is not None and found[0] <= value else None
+
+    # with ``stable``, a vertex adjacent to a member cannot join the set
+    return value, _mask_to_set(_fix_least(value, known, full, closed if stable else None,
+                                          complete))
 
 
 def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:
@@ -864,18 +869,28 @@ def maximal_cliques(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Ver
     return sets
 
 
-def simplexes(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[VertexSet]:
-    """Maximal cliques containing at least one simplicial vertex."""
-    simp = simplicial_vertices(g)
-    return [c for c in maximal_cliques(g, budget) if c & simp]
+def simplexes(g: Graph) -> list[VertexSet]:
+    """Maximal cliques containing at least one simplicial vertex, lexicographic.
+
+    The closed neighborhood N[v] of a simplicial v is a clique that holds
+    every clique through v, so it is the one maximal clique holding v.
+    """
+    adj = adjacency_masks(g)
+    sets = [_mask_to_set(c) for c in {adj[v] | 1 << v for v in simplicial_vertices(g)}]
+    sets.sort(key=sorted)
+    return sets
 
 
 # ---------------------------------------------------------------------------
 # witness validation and the aggregate report
 
 
+def _within(g: Graph, s: VertexSet) -> bool:
+    return all(0 <= v < g.n for v in s)
+
+
 def is_stable_set(g: Graph, s: VertexSet) -> bool:
-    return all(not g.has_edge(u, v) for u, v in combinations(sorted(s), 2))
+    return _within(g, s) and all(not g.has_edge(u, v) for u, v in combinations(sorted(s), 2))
 
 
 def is_maximal_stable_set(g: Graph, s: VertexSet) -> bool:
@@ -905,7 +920,7 @@ def is_clique_partition(g: Graph, parts: tuple[VertexSet, ...]) -> bool:
 
 
 def is_dominating_set(g: Graph, d: VertexSet) -> bool:
-    return all(v in d or g.neighbors(v) & d for v in range(g.n))
+    return _within(g, d) and all(v in d or g.neighbors(v) & d for v in range(g.n))
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,11 @@ def is_simplicial_graph(g: Graph) -> bool:
     return all(v in simp or g.neighbors(v) & simp for v in range(g.n))
 
 
-def vertex_in_exactly_one_simplex(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
+def vertex_in_exactly_one_simplex(g: Graph) -> bool:
     """The simplexes cover every vertex exactly once."""
     _require_vertices(g)
     count = [0] * g.n
-    for s in simplexes(g, budget):
+    for s in simplexes(g):
         for v in s:
             count[v] += 1
     return all(c == 1 for c in count)

@@ -174,6 +174,15 @@ def test_verify_usage_error_exit_2():
     assert "unknown theorem" in err
 
 
+def test_verify_jobs_below_one_exit_2():
+    # like --budget-nodes 0, a worker count below one is a usage error
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(["verify", "--theorem", "inequality-chain",
+                                  "--family", "exhaustive:3", "--jobs", jobs])
+        assert code == 2
+        assert out == "" and "--jobs" in err
+
+
 def test_bad_graph6_input_exit_2():
     code, _, err = run_cli(["square"], stdin="C\x01\n")
     assert code == 2

@@ -315,9 +315,18 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
         return solver
 
     for name in ("gamma", "ind_dom", "omega_family", "omega_union", "core_set",
-                 "alpha", "theta"):
+                 "alpha", "theta", "maximal_cliques"):
         real = getattr(invariants, name)
         patch_everywhere(monkeypatch, real, counting(name, real))
+    value_searches = []  # _stable_search runs without a target
+    real_search = invariants._stable_search
+
+    def searching(adj, universe, meter, target=None):
+        if target is None:
+            value_searches.append(adj)
+        return real_search(adj, universe, meter, target)
+
+    patch_everywhere(monkeypatch, real_search, searching)
     g = path(4)
     for claim in ALL_CLAIMS.values():
         assert _scan(claim, [g], DEFAULT_BUDGET)[:3] in ((1, 1, 0), (1, 0, 0))
@@ -326,3 +335,7 @@ def test_solvers_run_once_per_graph_across_claims(monkeypatch):
     assert solved["gamma"] == solved["ind_dom"] == 1
     assert solved["omega_union"] == 1  # on the square
     assert solved["omega_family"] == 0
+    # simplexes read N[v]; core_set and omega_union start from alpha's memo
+    assert solved["maximal_cliques"] == 0
+    assert solved["core_set"] == 2  # on the graph and on its square
+    assert len(value_searches) == solved["alpha"]

@@ -358,6 +358,27 @@ def test_maximal_cliques_match_oracle_exhaustively():
             assert maximal_cliques(g) == oracles.maximal_cliques_oracle(g)
 
 
+def test_simplexes_match_the_maximal_clique_definition():
+    # simplexes reads N[v] of each simplicial v; the definition keeps the
+    # maximal cliques that hold a simplicial vertex
+    family = [h for g in labeled_graphs(6) if g.n for h in (g, square(g))]
+    family += [g for n in range(8, 25) for p in (0.1, 0.3, 0.5, 0.8)
+               for g in generate(GraphFamily.gnp(n, p, 10, seed=n))]
+    for h in family:
+        simp = simplicial_vertices(h)
+        assert simplexes(h) == [c for c in maximal_cliques(h) if c & simp], encode_graph6(h)
+
+
+def test_validators_reject_vertices_outside_the_graph():
+    g = path(3)
+    assert not is_stable_set(g, {0, 2, 7})
+    assert not is_stable_set(g, {-1, 0})
+    assert not is_maximal_stable_set(g, frozenset({0, 2, 7}))
+    assert not is_dominating_set(g, frozenset({1, 9}))
+    assert is_stable_set(g, {0, 2}) and is_maximal_stable_set(g, frozenset({0, 2}))
+    assert is_dominating_set(g, frozenset({1}))
+
+
 def test_core_set_past_the_cap_matches_alpha_drop_rule():
     # past the enumeration cap, where Omega is not materialized: core_set
     # tests only the members of one maximum stable set; the reference
