@@ -15,17 +15,17 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .codec import (Graph6Error, decode_graph6, encode_graph6, graph6_strings,
                     parse_edge_list)
-from .families import GraphFamily, generate, parse_family_spec
 from .graphs import Graph, square
-from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim,
-                      run_negative_controls)
 from .invariants import (BudgetExhausted, InvariantReport, SolverBudget,
                          invariant_report)
 from .recognizers import RecognitionProfile, recognize
+
+if TYPE_CHECKING:
+    from .families import GraphFamily
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -123,6 +123,8 @@ def _cmd_square(args) -> int:
 
 
 def _family_from_args(args) -> GraphFamily:
+    from .families import GraphFamily, parse_family_spec
+
     spec = args.family
     if spec.startswith("graph6:"):
         path = spec[len("graph6:"):]
@@ -133,6 +135,8 @@ def _family_from_args(args) -> GraphFamily:
 
 
 def _cmd_generate(args) -> int:
+    from .families import generate
+
     family = _family_from_args(args)
     for g in generate(family):
         sys.stdout.write(encode_graph6(g) + "\n")
@@ -140,6 +144,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim,
+                          run_negative_controls)
+
     budget = _budget_from(args)
     names: list[str]
     if args.theorem == "all":

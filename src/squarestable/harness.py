@@ -178,7 +178,7 @@ def _applies_connected_square_stable(g, budget):
 def _violation_simplicial_correspondence(g, budget):
     sq = memoized(g, square)
     union = memoized(sq, omega_union, budget)
-    simp = simplicial_vertices(g)
+    simp = memoized(g, simplicial_vertices)
     core_sq = memoized(sq, core_set, budget)
     lone = set()
     for s in simplexes(g):
@@ -588,8 +588,12 @@ def run_claim(
                     bucket = []
             if bucket:
                 batches.append((name, tuple(bucket), budget))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
+        if len(batches) <= 1:
+            # one batch runs in one worker anyway: scan it here, fork nothing
+            seen, checked, skipped, best = _merge(map(_scan_encoded, batches))
+        else:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+                seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
     counterexample = None
     if best is not None:
         counterexample = {"graph6": best[0], **best[1]}

@@ -876,7 +876,7 @@ def simplexes(g: Graph) -> list[VertexSet]:
     every clique through v, so it is the one maximal clique holding v.
     """
     adj = adjacency_masks(g)
-    sets = [_mask_to_set(c) for c in {adj[v] | 1 << v for v in simplicial_vertices(g)}]
+    sets = [_mask_to_set(c) for c in {adj[v] | 1 << v for v in memoized(g, simplicial_vertices)}]
     sets.sort(key=sorted)
     return sets
 

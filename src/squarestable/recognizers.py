@@ -121,7 +121,7 @@ def has_pendant_perfect_matching(g: Graph) -> Matching | None:
 def is_simplicial_graph(g: Graph) -> bool:
     """Every vertex is simplicial or adjacent to a simplicial vertex."""
     _require_vertices(g)
-    simp = simplicial_vertices(g)
+    simp = memoized(g, simplicial_vertices)
     return all(v in simp or g.neighbors(v) & simp for v in range(g.n))
 
 
@@ -185,7 +185,7 @@ def recognize(
     certificates["pendant_pm"] = (
         {"matching": sorted(sorted(e) for e in pm)} if pm is not None else None)
 
-    simp = simplicial_vertices(g)
+    simp = memoized(g, simplicial_vertices)
     simplicial_flag = is_simplicial_graph(g)
     certificates["simplicial"] = {"simplicial_vertices": sorted(simp)}
 

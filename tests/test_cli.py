@@ -265,3 +265,31 @@ def test_graph6_header_line_is_skipped(tmp_path):
     assert code == 0
     verdict = json.loads(out)
     assert verdict["graphs_seen"] == verdict["graphs_checked"] == 2
+
+
+# runs cli_main on argv, then prints its exit code and every loaded module
+LOADED_MODULES = ("import json, sys; from squarestable.cli import cli_main; "
+                  "code = cli_main(sys.argv[1:]); "
+                  "print(json.dumps([code, sorted(sys.modules)]))")
+UNUSED_BY_INPUT_COMMANDS = {"squarestable.harness", "squarestable.families",
+                            "concurrent.futures.process", "multiprocessing"}
+
+
+def loaded_modules(args, stdin=""):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
+                          input=stdin, capture_output=True, text=True)
+    assert proc.stderr == ""
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_input_commands_load_neither_harness_nor_pool():
+    for command in ("analyze", "recognize", "square"):
+        code, modules = loaded_modules([command], stdin="Bo\nCx\n")
+        assert code == 0
+        assert "squarestable.invariants" in modules
+        assert not UNUSED_BY_INPUT_COMMANDS & modules, command
+    code, modules = loaded_modules(["verify", "--theorem", "inequality-chain",
+                                    "--family", "exhaustive:3"])
+    assert code == 0
+    assert {"squarestable.harness", "squarestable.families"} <= modules

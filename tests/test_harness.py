@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import oracles
+import squarestable.harness as harness
 import squarestable.invariants as invariants
 from conftest import labeled_graphs, patch_everywhere
 from squarestable.codec import decode_graph6, encode_graph6
@@ -225,6 +226,39 @@ def test_jobs_verdict_matches_serial_across_many_batches():
     assert solo.counterexample["graph6"] == refutations[0]
     assert solo.graphs_seen == solo.graphs_checked == len(lines)
     assert run_claim(name, fam, jobs=2).to_json() == solo.to_json()
+
+
+def counted_pools(monkeypatch) -> list:
+    """Record the ``max_workers`` of every pool ``run_claim`` starts."""
+    started = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_one_batch_family_starts_no_pool(monkeypatch):
+    started = counted_pools(monkeypatch)
+    fam = GraphFamily.exhaustive(4)   # 64 graphs: one batch
+    for name in ("inequality-chain", "control-well-covered-implies-square-stable"):
+        solo = run_claim(name, fam, jobs=1).to_json()
+        assert run_claim(name, fam, jobs=2).to_json() == solo
+    assert started == []
+
+
+def test_pool_starts_no_more_workers_than_batches(monkeypatch):
+    started = counted_pools(monkeypatch)
+    lines = [encode_graph6(g) for g in generate(GraphFamily.exhaustive(5))]
+    fam = GraphFamily.graph6_lines(lines[:3 * _BATCH_SIZE], label="three-batches")
+    name = "square-stable-equivalences"
+    solo = run_claim(name, fam, jobs=1).to_json()
+    assert started == []
+    assert run_claim(name, fam, jobs=8).to_json() == solo
+    assert started == [3]
 
 
 def test_budget_skip_is_not_memoized():
