@@ -1,8 +1,9 @@
 """Machine-checking of the square-stability claims over graph families.
 
-Every claim is registered with a hypothesis filter and a violation evaluator
-that recomputes each side of the claim from defining formulas, never from
-another claim, so an error in one equivalence cannot mask another.  A verdict
+Every claim is data: named hypothesis conjuncts, and under them conditions
+or values that recompute each side of the claim from defining formulas,
+never from another claim, so an error in one equivalence cannot mask
+another.  One builder derives each claim's filter and evaluator.  A verdict
 reports how many graphs were seen, how many satisfied the hypotheses, how
 many were skipped because a solver ran out of budget (a skip is never a
 refutation), and the lexicographically least graph6 counterexample if any
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from itertools import chain, islice, pairwise
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .codec import decode_graph6, encode_graph6
 from .families import GraphFamily, generate
@@ -87,6 +89,18 @@ class Claim:
 # predicates are looked up as module globals at each call.
 
 
+def _alpha(g, budget) -> int:
+    return memoized(g, alpha, budget)[0]
+
+
+def _square_union(g, budget):
+    return memoized(memoized(g, square), omega_union, budget)
+
+
+def _square_core(g, budget):
+    return memoized(memoized(g, square), core_set, budget)
+
+
 def _distance3_maximum_stable_set_exists(g, budget) -> bool:
     """Some maximum stable set is pairwise at distance >= 3: one feasibility
     search for alpha(g) vertices over the pairs that ``distances`` puts
@@ -111,389 +125,289 @@ def _square_omega_is_pendant_selections(g, matching, budget) -> bool:
             and all(not sq.neighbors(w) & (every - pair) for pair in ends for w in pair))
 
 
-def _equal_or_table(conditions: dict[str, bool], values: dict | None = None) -> dict | None:
-    if len(set(conditions.values())) <= 1:
-        return None
-    out = {"conditions": conditions}
-    if values:
-        out["values"] = values
-    return out
+def _lone_simplicial(g) -> frozenset[int]:
+    """The simplicial vertices that are the only simplicial one of their simplex."""
+    simp = memoized(g, simplicial_vertices)
+    return frozenset(v for s in simplexes(g) if len(s & simp) == 1 for v in s & simp)
+
+
+def _deletion_failure(g, budget) -> int | None:
+    """The least v for which G - N[v] is empty, not well covered, or of
+    stability number other than alpha(G) - 1; ``None`` when there is none."""
+    a = _alpha(g, budget)
+    for v in range(g.n):
+        h, _ = delete_closed_neighborhood(g, v)
+        if (h.n < 1 or not memoized(h, is_well_covered, budget)[0]
+                or memoized(h, alpha, budget)[0] != a - 1):
+            return v
+    return None
 
 
 # ---------------------------------------------------------------------------
-# claim evaluators
+# claims as data
 
 
-def _applies_nonempty(g, budget):
-    return g.n >= 1
+#: Named hypothesis conjuncts, each ``(g, budget) -> bool``.
+CONJUNCTS: dict[str, Callable[[Graph, SolverBudget], bool]] = {
+    "nonempty": lambda g, b: g.n >= 1,
+    "order>=2": lambda g, b: g.n >= 2,
+    "connected": lambda g, b: memoized(g, is_connected),
+    "disconnected": lambda g, b: not memoized(g, is_connected),
+    "tree": lambda g, b: is_tree(g),
+    "girth>=6": lambda g, b: girth_at_least(g, 6),
+    "not-C7": lambda g, b: not is_cycle_of_length(g, 7),
+    "no-isolated": lambda g, b: all(g.degree(v) > 0 for v in range(g.n)),
+    "not-complete": lambda g, b: any(g.degree(v) < g.n - 1 for v in range(g.n)),
+    "square-stable": lambda g, b: is_square_stable(g, b),
+    "ke": lambda g, b: is_koenig_egervary(g, b),
+    "square-ke": lambda g, b: is_koenig_egervary(memoized(g, square), b),
+    "pendant-pm": lambda g, b: memoized(g, has_pendant_perfect_matching) is not None,
+    "well-covered": lambda g, b: memoized(g, is_well_covered, b)[0],
+    "alpha-pendants": lambda g, b: len(pendant_edges(g)) == memoized(g, alpha, b)[0],
+    "unique-pm": lambda g, b: count_perfect_matchings(g, limit=2, budget=b) == 1,
+    # |Ω| = 1 exactly when the union of Ω equals its intersection
+    "unique-square-omega": lambda g, b: _square_union(g, b) == _square_core(g, b),
+}
 
 
-def _violation_chain(g, budget):
-    sq = memoized(g, square)
-    vals = {
-        "alpha_square": memoized(sq, alpha, budget)[0],
-        "theta_square": memoized(sq, theta, budget)[0],
-        "gamma": memoized(g, gamma, budget)[0],
-        "ind_dom": memoized(g, ind_dom, budget)[0],
-        "alpha": memoized(g, alpha, budget)[0],
-        "theta": memoized(g, theta, budget)[0],
-    }
-    chain = [vals["alpha_square"], vals["theta_square"], vals["gamma"],
-             vals["ind_dom"], vals["alpha"], vals["theta"]]
-    if all(a <= b for a, b in zip(chain, chain[1:])):
-        return None
-    return {"values": vals}
+class Part(NamedTuple):
+    """One conclusion of a claim, checked where all its ``hypotheses`` hold.
 
+    ``hypotheses`` name entries of :data:`CONJUNCTS`, and so does a
+    condition given as a string.  The ``test`` is ``"equal"`` (the
+    conditions agree), ``"all"`` (they all hold) or ``"ascending"`` (the
+    values never decrease, in order).  Outside ``"ascending"`` the values
+    never decide a verdict, only describe a refutation, yet each is computed
+    on every checked graph.  A report leaves out a value of ``None``.
+    """
 
-def _applies_connected(g, budget):
-    return g.n >= 1 and memoized(g, is_connected)
-
-
-def _violation_equivalences(g, budget):
-    sq = memoized(g, square)
-    a = memoized(g, alpha, budget)[0]
-    a2 = memoized(sq, alpha, budget)[0]
-    t = memoized(g, theta, budget)[0]
-    t2 = memoized(sq, theta, budget)[0]
-    gam = memoized(g, gamma, budget)[0]
-    ind = memoized(g, ind_dom, budget)[0]
-    conditions = {
-        "unique_simplex_cover": vertex_in_exactly_one_simplex(g),
-        "alpha_square_equal": a == a2,
-        "theta_square_equal": t == t2,
-        "all_six_invariants_equal": a2 == t2 == gam == ind == a == t,
-        "simplicial_and_well_covered": (is_simplicial_graph(g)
-                                        and memoized(g, is_well_covered, budget)[0]),
-        "distance3_maximum_stable_set": _distance3_maximum_stable_set_exists(g, budget),
-    }
-    return _equal_or_table(conditions, {
-        "alpha": a, "alpha_square": a2, "theta": t, "theta_square": t2,
-        "gamma": gam, "ind_dom": ind})
-
-
-def _applies_connected_square_stable(g, budget):
-    return g.n >= 1 and memoized(g, is_connected) and is_square_stable(g, budget)
-
-
-def _violation_simplicial_correspondence(g, budget):
-    sq = memoized(g, square)
-    union = memoized(sq, omega_union, budget)
-    simp = memoized(g, simplicial_vertices)
-    core_sq = memoized(sq, core_set, budget)
-    lone = set()
-    for s in simplexes(g):
-        owners = s & simp
-        if len(owners) == 1:
-            lone |= owners
-    conditions = {
-        "square_omega_union_is_simp": union == simp,
-        "square_core_is_lone_simplicial": core_sq == frozenset(lone),
-    }
-    if all(conditions.values()):
-        return None
-    return {"conditions": conditions, "values": {
-        "square_omega_union": sorted(union),
-        "simplicial_vertices": sorted(simp),
-        "square_core": sorted(core_sq),
-        "lone_simplicial": sorted(lone)}}
-
-
-def _applies_pendant_pm(g, budget):
-    return g.n >= 1 and memoized(g, has_pendant_perfect_matching) is not None
-
-
-def _violation_pendant_matching(g, budget):
-    m = memoized(g, has_pendant_perfect_matching)
-    assert m is not None
-    conditions = {
-        "square_stable": is_square_stable(g, budget),
-        "square_omega_is_pendant_selections": _square_omega_is_pendant_selections(
-            g, m, budget),
-    }
-    if all(conditions.values()):
-        return None
-    return {"conditions": conditions, "values": {
-        "square_omega_union": sorted(memoized(memoized(g, square), omega_union, budget)),
-        "pendant_ends": sorted(w for e in m for w in e if g.degree(w) == 1)}}
-
-
-def _applies_connected_ke(g, budget):
-    return g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget)
-
-
-def _violation_ke_characterization(g, budget):
-    a = memoized(g, alpha, budget)[0]
-    conditions = {
-        "square_stable": is_square_stable(g, budget),
-        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
-                                     is not None),
-        "vwc_with_alpha_pendants": (is_very_well_covered(g, budget)
-                                    and len(pendant_edges(g)) == a),
-    }
-    return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": len(pendant_edges(g))})
-
-
-def _applies_tree(g, budget):
-    return g.n >= 2 and is_tree(g)
-
-
-def _violation_tree_equivalences(g, budget):
-    conditions = {
-        "well_covered": memoized(g, is_well_covered, budget)[0],
-        "very_well_covered": is_very_well_covered(g, budget),
-        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
-                                     is not None),
-        "square_stable": is_square_stable(g, budget),
-    }
-    return _equal_or_table(conditions)
-
-
-def _applies_connected_ss_n2(g, budget):
-    return g.n >= 2 and memoized(g, is_connected) and is_square_stable(g, budget)
-
-
-def _violation_alpha_le_mu(g, budget):
-    a = memoized(g, alpha, budget)[0]
-    m = memoized(g, mu)[0]
-    if a <= m:
-        return None
-    return {"values": {"alpha": a, "mu": m}}
-
-
-def _applies_square_ke(g, budget):
-    return (g.n >= 2 and memoized(g, is_connected)
-            and is_koenig_egervary(memoized(g, square), budget))
-
-
-def _violation_square_ke(g, budget):
-    conditions = {
-        "square_stable": is_square_stable(g, budget),
-        "ke_with_perfect_matching": (is_koenig_egervary(g, budget)
-                                     and 2 * memoized(g, mu)[0] == g.n),
-    }
-    return _equal_or_table(conditions, {
-        "alpha": memoized(g, alpha, budget)[0], "mu": memoized(g, mu)[0],
-        "order": g.n})
-
-
-def _applies_vwc_characterization(g, budget):
-    return ((g.n >= 2 and memoized(g, is_connected))
-            or (g.n >= 1 and is_square_stable(g, budget)))
-
-
-def _violation_vwc_characterization(g, budget):
-    details: dict = {"conditions": {}, "values": {}}
-    bad = False
-    if g.n >= 2 and memoized(g, is_connected):
-        left = is_square_stable(g, budget) and is_very_well_covered(g, budget)
-        right = (is_koenig_egervary(g, budget) and 2 * memoized(g, mu)[0] == g.n
-                 and len(pendant_edges(g)) == memoized(g, alpha, budget)[0])
-        details["conditions"]["square_stable_and_vwc"] = left
-        details["conditions"]["ke_pm_alpha_pendants"] = right
-        bad = bad or left != right
-    if is_square_stable(g, budget):
-        ke_g = is_koenig_egervary(g, budget)
-        ke_sq = is_koenig_egervary(memoized(g, square), budget)
-        details["conditions"]["ke_base"] = ke_g
-        details["conditions"]["ke_square"] = ke_sq
-        bad = bad or ke_g != ke_sq
-    return details if bad else None
-
-
-def _applies_girth6(g, budget):
-    return (g.n >= 2 and memoized(g, is_connected) and girth_at_least(g, 6)
-            and not is_cycle_of_length(g, 7))
-
-
-def _violation_girth6(g, budget):
-    a = memoized(g, alpha, budget)[0]
-    conditions = {
-        "well_covered": memoized(g, is_well_covered, budget)[0],
-        "pendant_perfect_matching": (memoized(g, has_pendant_perfect_matching)
-                                     is not None),
-        "very_well_covered": is_very_well_covered(g, budget),
-        "ke_alpha_pendants_empty_core": (is_koenig_egervary(g, budget)
-                                         and len(pendant_edges(g)) == a
-                                         and not memoized(g, core_set, budget)),
-        "ke_and_square_stable": (is_koenig_egervary(g, budget)
-                                 and is_square_stable(g, budget)),
-    }
-    return _equal_or_table(conditions, {
-        "alpha": a, "pendant_edges": len(pendant_edges(g)),
-        "core": sorted(memoized(g, core_set, budget))})
-
-
-def _is_complete_graph(g):
-    return all(g.degree(v) == g.n - 1 for v in range(g.n))
-
-
-def _applies_vwc_basics(g, budget):
-    if g.n < 2:
-        return False
-    if all(g.degree(v) > 0 for v in range(g.n)):
-        return True
-    if memoized(g, is_connected) and is_koenig_egervary(g, budget):
-        return True
-    return not _is_complete_graph(g) and memoized(g, is_well_covered, budget)[0]
-
-
-def _violation_vwc_basics(g, budget):
+    hypotheses: tuple[str, ...]
+    test: str
     conditions: dict = {}
     values: dict = {}
-    bad = False
-    if g.n >= 2 and all(g.degree(v) > 0 for v in range(g.n)):
-        left = is_very_well_covered(g, budget)
-        right = (memoized(g, is_well_covered, budget)[0]
-                 and is_koenig_egervary(g, budget))
-        conditions["vwc_equals_wc_and_ke"] = left == right
-        bad = bad or left != right
-    if g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget):
-        eq = memoized(g, is_well_covered, budget)[0] == is_very_well_covered(g, budget)
-        conditions["connected_ke_wc_equals_vwc"] = eq
-        bad = bad or not eq
-    if (g.n >= 2 and not _is_complete_graph(g)
-            and memoized(g, is_well_covered, budget)[0]):
-        a = memoized(g, alpha, budget)[0]
-        all_good = True
-        for v in range(g.n):
-            h, _ = delete_closed_neighborhood(g, v)
-            if (h.n < 1 or not memoized(h, is_well_covered, budget)[0]
-                    or memoized(h, alpha, budget)[0] != a - 1):
-                all_good = False
-                values["failing_vertex"] = v
-                break
-        conditions["neighborhood_deletion_preserves"] = all_good
-        bad = bad or not all_good
-    if not bad:
-        return None
-    out = {"conditions": conditions}
-    if values:
-        out["values"] = values
-    return out
 
 
-def _applies_disconnected(g, budget):
-    return g.n >= 1 and not memoized(g, is_connected)
+_TESTS: dict[str, Callable[[dict, dict], bool]] = {
+    "equal": lambda conditions, values: len(set(conditions.values())) <= 1,
+    "all": lambda conditions, values: all(conditions.values()),
+    "ascending": lambda conditions, values: all(x <= y for x, y in pairwise(values.values())),
+}
+
+#: The parts each registered claim was built from.
+PARTS: dict[str, tuple[Part, ...]] = {}
 
 
-def _violation_componentwise(g, budget):
-    whole = is_square_stable(g, budget)
-    parts = all(is_square_stable(comp, budget) for comp, _ in components(g))
-    if whole == parts:
-        return None
-    return {"conditions": {"whole_square_stable": whole,
-                           "all_components_square_stable": parts}}
+def _evaluators(parts: Sequence[Part]):
+    """The ``applies`` and ``violation`` of a claim made of ``parts``.
+
+    ``applies`` holds when all hypotheses of some part hold, tried left to
+    right until one fails.  ``violation`` evaluates each part that applies:
+    ``None`` when all pass their tests, else their conditions and values.
+    """
+    def resolve(named: dict) -> tuple:
+        return tuple((k, CONJUNCTS[f] if isinstance(f, str) else f) for k, f in named.items())
+
+    compiled = [(tuple(CONJUNCTS[h] for h in p.hypotheses), _TESTS[p.test],
+                 resolve(p.conditions), resolve(p.values)) for p in parts]
+    hypothesis_sets = tuple(c[0] for c in compiled)
+    lone = len(parts) == 1
+
+    def applies(g, budget):
+        for hypotheses in hypothesis_sets:
+            for holds in hypotheses:
+                if not holds(g, budget):
+                    break
+            else:
+                return True
+        return False
+
+    def violation(g, budget):
+        conditions, values, bad = {}, {}, False
+        for hypotheses, test, named_conditions, named_values in compiled:
+            if lone or all(holds(g, budget) for holds in hypotheses):
+                got = {k: f(g, budget) for k, f in named_conditions}
+                report = {k: f(g, budget) for k, f in named_values}
+                if not test(got, report):
+                    bad = True
+                conditions.update(got)
+                values.update(report)
+        if not bad:
+            return None
+        values = {k: v for k, v in values.items() if v is not None}
+        return {k: v for k, v in (("conditions", conditions), ("values", values)) if v}
+
+    return applies, violation
 
 
-# ---------------------------------------------------------------------------
-# negative-control evaluators (claims that are deliberately false)
+def _claim(name: str, description: str, *parts: Part) -> Claim:
+    PARTS[name] = parts
+    return Claim(name, description, *_evaluators(parts))
 
 
-def _applies_well_covered_only(g, budget):
-    return g.n >= 1 and memoized(g, is_well_covered, budget)[0]
-
-
-def _applies_unique_pm(g, budget):
-    return g.n >= 1 and count_perfect_matchings(g, limit=2, budget=budget) == 1
-
-
-def _applies_unique_square_omega(g, budget):
-    # |Ω| = 1 exactly when the union of Ω equals its intersection
-    sq = memoized(g, square)
-    return g.n >= 1 and memoized(sq, omega_union, budget) == memoized(sq, core_set, budget)
-
-
-def _applies_ke_alpha_pendants(g, budget):
-    return (g.n >= 2 and memoized(g, is_connected) and is_koenig_egervary(g, budget)
-            and len(pendant_edges(g)) == memoized(g, alpha, budget)[0])
-
-
-def _violation_not_square_stable(g, budget):
-    if is_square_stable(g, budget):
-        return None
-    return {"conditions": {"square_stable": False}}
-
-
-def _violation_not_ss_and_vwc(g, budget):
-    if is_square_stable(g, budget) and is_very_well_covered(g, budget):
-        return None
-    return {"conditions": {"square_stable": is_square_stable(g, budget),
-                           "very_well_covered": is_very_well_covered(g, budget)}}
-
-
-# ---------------------------------------------------------------------------
-# registry
-
+#: α(G²), θ(G²), γ, i, α, θ in the order of the inequality chain.
+_SIX = {
+    "alpha_square": lambda g, b: memoized(memoized(g, square), alpha, b)[0],
+    "theta_square": lambda g, b: memoized(memoized(g, square), theta, b)[0],
+    "gamma": lambda g, b: memoized(g, gamma, b)[0],
+    "ind_dom": lambda g, b: memoized(g, ind_dom, b)[0],
+    "alpha": _alpha,
+    "theta": lambda g, b: memoized(g, theta, b)[0],
+}
 
 CLAIMS: dict[str, Claim] = {c.name: c for c in [
-    Claim("inequality-chain",
-          "alpha(G^2) <= theta(G^2) <= gamma(G) <= i(G) <= alpha(G) <= theta(G)",
-          _applies_nonempty, _violation_chain),
-    Claim("square-stable-equivalences",
-          "six equivalent descriptions of connected square-stable graphs",
-          _applies_connected, _violation_equivalences),
-    Claim("square-simplicial-correspondence",
-          "in the square of a square-stable graph, Omega covers exactly the "
-          "simplicial vertices and the core keeps exactly the lone ones",
-          _applies_connected_square_stable, _violation_simplicial_correspondence),
-    Claim("pendant-matching-implies-square-stable",
-          "a pendant perfect matching forces square stability and pins down "
-          "the maximum stable sets of the square",
-          _applies_pendant_pm, _violation_pendant_matching),
-    Claim("ke-square-stable-characterization",
-          "for connected Konig-Egervary graphs: square stability == pendant "
-          "perfect matching == very well covered with alpha pendant edges",
-          _applies_connected_ke, _violation_ke_characterization),
-    Claim("tree-well-covered-equivalences",
-          "for trees: well covered == very well covered == pendant perfect "
-          "matching == square-stable",
-          _applies_tree, _violation_tree_equivalences),
-    Claim("square-stable-alpha-le-mu",
-          "connected square-stable graphs satisfy alpha <= mu",
-          _applies_connected_ss_n2, _violation_alpha_le_mu),
-    Claim("square-ke-perfect-matching",
-          "when the square is Konig-Egervary: square-stable == Konig-Egervary "
-          "with a perfect matching",
-          _applies_square_ke, _violation_square_ke),
-    Claim("vwc-pendant-characterization",
-          "square-stable and very well covered == Konig-Egervary with a "
-          "perfect matching and alpha pendant edges; square stability makes "
-          "the Konig-Egervary property agree between G and its square",
-          _applies_vwc_characterization, _violation_vwc_characterization),
-    Claim("girth6-well-covered-equivalences",
-          "five equivalent descriptions for connected graphs of girth >= 6 "
-          "other than the 7-cycle and the single vertex",
-          _applies_girth6, _violation_girth6),
-    Claim("very-well-covered-basics",
-          "very well covered == well covered Konig-Egervary (no isolated "
-          "vertices); for connected Konig-Egervary graphs well covered == "
-          "very well covered; closed-neighborhood deletion keeps well "
-          "covered and drops alpha by one",
-          _applies_vwc_basics, _violation_vwc_basics),
-    Claim("componentwise-square-stability",
-          "a disconnected graph is square-stable exactly when every "
-          "component is",
-          _applies_disconnected, _violation_componentwise),
+    _claim("inequality-chain",
+           "alpha(G^2) <= theta(G^2) <= gamma(G) <= i(G) <= alpha(G) <= theta(G)",
+           Part(("nonempty",), "ascending", values=_SIX)),
+    _claim("square-stable-equivalences",
+           "six equivalent descriptions of connected square-stable graphs",
+           Part(("nonempty", "connected"), "equal", {
+               "unique_simplex_cover": lambda g, b: vertex_in_exactly_one_simplex(g),
+               "alpha_square_equal": lambda g, b: (
+                   memoized(g, alpha, b)[0] == memoized(memoized(g, square), alpha, b)[0]),
+               "theta_square_equal": lambda g, b: (
+                   memoized(g, theta, b)[0] == memoized(memoized(g, square), theta, b)[0]),
+               "all_six_invariants_equal": lambda g, b: len({f(g, b) for f in _SIX.values()}) == 1,
+               "simplicial_and_well_covered": lambda g, b: (
+                   is_simplicial_graph(g) and memoized(g, is_well_covered, b)[0]),
+               "distance3_maximum_stable_set": _distance3_maximum_stable_set_exists,
+           }, {k: _SIX[k] for k in ("alpha", "alpha_square", "theta", "theta_square",
+                                    "gamma", "ind_dom")})),
+    _claim("square-simplicial-correspondence",
+           "in the square of a square-stable graph, Omega covers exactly the "
+           "simplicial vertices and the core keeps exactly the lone ones",
+           Part(("nonempty", "connected", "square-stable"), "all", {
+               "square_omega_union_is_simp": lambda g, b: (
+                   _square_union(g, b) == memoized(g, simplicial_vertices)),
+               "square_core_is_lone_simplicial": lambda g, b: (
+                   _square_core(g, b) == memoized(g, _lone_simplicial)),
+           }, {
+               "square_omega_union": lambda g, b: sorted(_square_union(g, b)),
+               "simplicial_vertices": lambda g, b: sorted(memoized(g, simplicial_vertices)),
+               "square_core": lambda g, b: sorted(_square_core(g, b)),
+               "lone_simplicial": lambda g, b: sorted(memoized(g, _lone_simplicial)),
+           })),
+    _claim("pendant-matching-implies-square-stable",
+           "a pendant perfect matching forces square stability and pins down "
+           "the maximum stable sets of the square",
+           Part(("nonempty", "pendant-pm"), "all", {
+               "square_stable": "square-stable",
+               "square_omega_is_pendant_selections": lambda g, b: (
+                   _square_omega_is_pendant_selections(
+                       g, memoized(g, has_pendant_perfect_matching), b)),
+           }, {
+               "square_omega_union": lambda g, b: sorted(_square_union(g, b)),
+               "pendant_ends": lambda g, b: sorted(
+                   w for e in memoized(g, has_pendant_perfect_matching)
+                   for w in e if g.degree(w) == 1),
+           })),
+    _claim("ke-square-stable-characterization",
+           "for connected Konig-Egervary graphs: square stability == pendant "
+           "perfect matching == very well covered with alpha pendant edges",
+           Part(("order>=2", "connected", "ke"), "equal", {
+               "square_stable": "square-stable",
+               "pendant_perfect_matching": "pendant-pm",
+               "vwc_with_alpha_pendants": lambda g, b: (
+                   is_very_well_covered(g, b) and len(pendant_edges(g)) == _alpha(g, b)),
+           }, {"alpha": _alpha, "pendant_edges": lambda g, b: len(pendant_edges(g))})),
+    _claim("tree-well-covered-equivalences",
+           "for trees: well covered == very well covered == pendant perfect "
+           "matching == square-stable",
+           Part(("order>=2", "tree"), "equal", {
+               "well_covered": "well-covered",
+               "very_well_covered": lambda g, b: is_very_well_covered(g, b),
+               "pendant_perfect_matching": "pendant-pm",
+               "square_stable": "square-stable",
+           })),
+    _claim("square-stable-alpha-le-mu",
+           "connected square-stable graphs satisfy alpha <= mu",
+           Part(("order>=2", "connected", "square-stable"), "ascending",
+                values={"alpha": _alpha, "mu": lambda g, b: memoized(g, mu)[0]})),
+    _claim("square-ke-perfect-matching",
+           "when the square is Konig-Egervary: square-stable == Konig-Egervary "
+           "with a perfect matching",
+           Part(("order>=2", "connected", "square-ke"), "equal", {
+               "square_stable": "square-stable",
+               "ke_with_perfect_matching": lambda g, b: (
+                   is_koenig_egervary(g, b) and 2 * memoized(g, mu)[0] == g.n),
+           }, {"alpha": _alpha, "mu": lambda g, b: memoized(g, mu)[0],
+               "order": lambda g, b: g.n})),
+    _claim("vwc-pendant-characterization",
+           "square-stable and very well covered == Konig-Egervary with a "
+           "perfect matching and alpha pendant edges; square stability makes "
+           "the Konig-Egervary property agree between G and its square",
+           Part(("order>=2", "connected"), "equal", {
+               "square_stable_and_vwc": lambda g, b: (
+                   is_square_stable(g, b) and is_very_well_covered(g, b)),
+               "ke_pm_alpha_pendants": lambda g, b: (
+                   is_koenig_egervary(g, b) and 2 * memoized(g, mu)[0] == g.n
+                   and len(pendant_edges(g)) == _alpha(g, b)),
+           }),
+           Part(("nonempty", "square-stable"), "equal",
+                {"ke_base": "ke", "ke_square": "square-ke"})),
+    _claim("girth6-well-covered-equivalences",
+           "five equivalent descriptions for connected graphs of girth >= 6 "
+           "other than the 7-cycle and the single vertex",
+           Part(("order>=2", "connected", "girth>=6", "not-C7"), "equal", {
+               "well_covered": "well-covered",
+               "pendant_perfect_matching": "pendant-pm",
+               "very_well_covered": lambda g, b: is_very_well_covered(g, b),
+               "ke_alpha_pendants_empty_core": lambda g, b: (
+                   is_koenig_egervary(g, b) and len(pendant_edges(g)) == _alpha(g, b)
+                   and not memoized(g, core_set, b)),
+               "ke_and_square_stable": lambda g, b: (
+                   is_koenig_egervary(g, b) and is_square_stable(g, b)),
+           }, {
+               "alpha": _alpha,
+               "pendant_edges": lambda g, b: len(pendant_edges(g)),
+               "core": lambda g, b: sorted(memoized(g, core_set, b)),
+           })),
+    _claim("very-well-covered-basics",
+           "very well covered == well covered Konig-Egervary (no isolated "
+           "vertices); for connected Konig-Egervary graphs well covered == "
+           "very well covered; closed-neighborhood deletion keeps well "
+           "covered and drops alpha by one",
+           Part(("order>=2", "no-isolated"), "all", {
+               "vwc_equals_wc_and_ke": lambda g, b: is_very_well_covered(g, b) == (
+                   memoized(g, is_well_covered, b)[0] and is_koenig_egervary(g, b)),
+           }),
+           Part(("order>=2", "connected", "ke"), "all", {
+               "connected_ke_wc_equals_vwc": lambda g, b: (
+                   memoized(g, is_well_covered, b)[0] == is_very_well_covered(g, b)),
+           }),
+           Part(("order>=2", "not-complete", "well-covered"), "all", {
+               "neighborhood_deletion_preserves": lambda g, b: (
+                   memoized(g, _deletion_failure, b) is None),
+           }, {"failing_vertex": lambda g, b: memoized(g, _deletion_failure, b)})),
+    _claim("componentwise-square-stability",
+           "a disconnected graph is square-stable exactly when every "
+           "component is",
+           Part(("nonempty", "disconnected"), "equal", {
+               "whole_square_stable": "square-stable",
+               "all_components_square_stable": lambda g, b: all(
+                   is_square_stable(comp, b) for comp, _ in components(g)),
+           })),
 ]}
 
 
+# negative controls: claims that are deliberately false
 CONTROL_CLAIMS: dict[str, Claim] = {c.name: c for c in [
-    Claim("control-well-covered-implies-square-stable",
-          "planted-false: well covered would force square stability",
-          _applies_well_covered_only, _violation_not_square_stable),
-    Claim("control-unique-perfect-matching-implies-square-stable",
-          "planted-false: a unique perfect matching would force square stability",
-          _applies_unique_pm, _violation_not_square_stable),
-    Claim("control-unique-square-maximum-implies-square-stable",
-          "planted-false: a unique maximum stable set in the square would "
-          "force square stability",
-          _applies_unique_square_omega, _violation_not_square_stable),
-    Claim("control-ke-pendant-count-implies-square-stable",
-          "planted-false: Konig-Egervary with alpha pendant edges would force "
-          "square stability and very-well-coveredness (drops the perfect "
-          "matching requirement)",
-          _applies_ke_alpha_pendants, _violation_not_ss_and_vwc),
+    _claim("control-well-covered-implies-square-stable",
+           "planted-false: well covered would force square stability",
+           Part(("nonempty", "well-covered"), "all", {"square_stable": "square-stable"})),
+    _claim("control-unique-perfect-matching-implies-square-stable",
+           "planted-false: a unique perfect matching would force square stability",
+           Part(("nonempty", "unique-pm"), "all", {"square_stable": "square-stable"})),
+    _claim("control-unique-square-maximum-implies-square-stable",
+           "planted-false: a unique maximum stable set in the square would "
+           "force square stability",
+           Part(("nonempty", "unique-square-omega"), "all", {"square_stable": "square-stable"})),
+    _claim("control-ke-pendant-count-implies-square-stable",
+           "planted-false: Konig-Egervary with alpha pendant edges would force "
+           "square stability and very-well-coveredness (drops the perfect "
+           "matching requirement)",
+           Part(("order>=2", "connected", "ke", "alpha-pendants"), "all",
+                {"square_stable": "square-stable",
+                 "very_well_covered": lambda g, b: is_very_well_covered(g, b)})),
 ]}
 
 ALL_CLAIMS: dict[str, Claim] = {**CLAIMS, **CONTROL_CLAIMS}
@@ -518,12 +432,6 @@ CONTROL_FAMILIES: dict[str, tuple[GraphFamily, ...]] = {
 #: Graphs per ``--jobs`` batch: small enough that every worker gets several
 #: batches of a labeled sweep, large enough to amortize the pickling.
 _BATCH_SIZE = 256
-
-
-def _families_tuple(family: GraphFamily | Sequence[GraphFamily]) -> tuple[GraphFamily, ...]:
-    if isinstance(family, GraphFamily):
-        return (family,)
-    return tuple(family)
 
 
 def _scan(claim: Claim, graphs: Iterable[Graph], budget: SolverBudget):
@@ -573,25 +481,21 @@ def run_claim(
 ) -> TheoremVerdict:
     """Check one registered claim over a family and aggregate the verdict."""
     claim = ALL_CLAIMS[name]
-    fams = _families_tuple(family)
+    fams = (family,) if isinstance(family, GraphFamily) else tuple(family)
     if jobs <= 1:
         seen, checked, skipped, best = _merge(
             _scan(claim, generate(fam), budget) for fam in fams)
     else:
-        batches: list[tuple[str, tuple[str, ...], SolverBudget]] = []
-        for fam in fams:
-            bucket: list[str] = []
-            for g in generate(fam):
-                bucket.append(encode_graph6(g))
-                if len(bucket) >= _BATCH_SIZE:
-                    batches.append((name, tuple(bucket), budget))
-                    bucket = []
-            if bucket:
-                batches.append((name, tuple(bucket), budget))
-        if len(batches) <= 1:
+        graphs = (g for fam in fams for g in generate(fam))
+        head = list(islice(graphs, _BATCH_SIZE + 1))
+        if len(head) <= _BATCH_SIZE:
             # one batch runs in one worker anyway: scan it here, fork nothing
-            seen, checked, skipped, best = _merge(map(_scan_encoded, batches))
+            seen, checked, skipped, best = _scan(claim, head, budget)
         else:
+            rest = chain(head, graphs)
+            batches = []
+            while chunk := tuple(encode_graph6(g) for g in islice(rest, _BATCH_SIZE)):
+                batches.append((name, chunk, budget))
             with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
                 seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
     counterexample = None
@@ -634,14 +538,5 @@ def run_negative_controls(
         refuted = (not verdict.passed
                    and verdict.counterexample is not None
                    and reverify_counterexample(name, verdict.counterexample, budget))
-        out.append(TheoremVerdict(
-            theorem_id=name,
-            family=verdict.family,
-            graphs_seen=verdict.graphs_seen,
-            graphs_checked=verdict.graphs_checked,
-            skipped=verdict.skipped,
-            passed=refuted,
-            counterexample=verdict.counterexample,
-            kind="control",
-        ))
+        out.append(replace(verdict, passed=refuted))
     return out

@@ -9,10 +9,8 @@ from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import disjoint_union, is_cycle_of_length, square
 from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
-                                  CONTROL_FAMILIES, Claim,
-                                  _applies_connected_ke, _applies_girth6,
-                                  _applies_pendant_pm, _applies_tree,
-                                  _applies_unique_pm,
+                                  CONJUNCTS, CONTROL_FAMILIES, PARTS, Claim,
+                                  Part, _evaluators,
                                   _distance3_maximum_stable_set_exists, _scan,
                                   _square_omega_is_pendant_selections,
                                   reverify_counterexample, run_claim,
@@ -31,40 +29,123 @@ SMALL = [GraphFamily.exhaustive(n) for n in range(1, 5)]
 # -- hypothesis filters, unit-tested on their own ------------------------------
 
 def test_tree_filter():
-    assert _applies_tree(path(5), DEFAULT_BUDGET)
-    assert not _applies_tree(cycle(5), DEFAULT_BUDGET)
-    assert not _applies_tree(path(1), DEFAULT_BUDGET)
-    assert not _applies_tree(disjoint_union(path(2), path(2)), DEFAULT_BUDGET)
+    applies = ALL_CLAIMS["tree-well-covered-equivalences"].applies
+    assert applies(path(5), DEFAULT_BUDGET)
+    assert not applies(cycle(5), DEFAULT_BUDGET)
+    assert not applies(path(1), DEFAULT_BUDGET)
+    assert not applies(disjoint_union(path(2), path(2)), DEFAULT_BUDGET)
 
 
 def test_girth6_filter_exclusions():
-    assert _applies_girth6(path(4), DEFAULT_BUDGET)
-    assert _applies_girth6(cycle(6), DEFAULT_BUDGET)
-    assert _applies_girth6(cycle(8), DEFAULT_BUDGET)
-    assert not _applies_girth6(cycle(7), DEFAULT_BUDGET)      # excluded cycle
-    assert not _applies_girth6(complete(1), DEFAULT_BUDGET)   # excluded K1
-    assert not _applies_girth6(cycle(5), DEFAULT_BUDGET)      # girth below 6
-    assert not _applies_girth6(paw(), DEFAULT_BUDGET)
+    applies = ALL_CLAIMS["girth6-well-covered-equivalences"].applies
+    assert applies(path(4), DEFAULT_BUDGET)
+    assert applies(cycle(6), DEFAULT_BUDGET)
+    assert applies(cycle(8), DEFAULT_BUDGET)
+    assert not applies(cycle(7), DEFAULT_BUDGET)      # excluded cycle
+    assert not applies(complete(1), DEFAULT_BUDGET)   # excluded K1
+    assert not applies(cycle(5), DEFAULT_BUDGET)      # girth below 6
+    assert not applies(paw(), DEFAULT_BUDGET)
 
 
 def test_connected_ke_filter():
-    assert _applies_connected_ke(path(2), DEFAULT_BUDGET)
-    assert _applies_connected_ke(paw(), DEFAULT_BUDGET)
-    assert not _applies_connected_ke(cycle(5), DEFAULT_BUDGET)
-    assert not _applies_connected_ke(complete(1), DEFAULT_BUDGET)
+    applies = ALL_CLAIMS["ke-square-stable-characterization"].applies
+    assert applies(path(2), DEFAULT_BUDGET)
+    assert applies(paw(), DEFAULT_BUDGET)
+    assert not applies(cycle(5), DEFAULT_BUDGET)
+    assert not applies(complete(1), DEFAULT_BUDGET)
 
 
 def test_pendant_pm_filter():
-    assert _applies_pendant_pm(comb(3), DEFAULT_BUDGET)
-    assert _applies_pendant_pm(path(2), DEFAULT_BUDGET)
-    assert not _applies_pendant_pm(path(6), DEFAULT_BUDGET)
+    applies = ALL_CLAIMS["pendant-matching-implies-square-stable"].applies
+    assert applies(comb(3), DEFAULT_BUDGET)
+    assert applies(path(2), DEFAULT_BUDGET)
+    assert not applies(path(6), DEFAULT_BUDGET)
 
 
 def test_unique_pm_filter():
-    assert _applies_unique_pm(path(6), DEFAULT_BUDGET)
-    assert _applies_unique_pm(paw(), DEFAULT_BUDGET)
-    assert not _applies_unique_pm(cycle(4), DEFAULT_BUDGET)  # two matchings
-    assert not _applies_unique_pm(path(5), DEFAULT_BUDGET)   # odd order
+    applies = ALL_CLAIMS[
+        "control-unique-perfect-matching-implies-square-stable"].applies
+    assert applies(path(6), DEFAULT_BUDGET)
+    assert applies(paw(), DEFAULT_BUDGET)
+    assert not applies(cycle(4), DEFAULT_BUDGET)  # two matchings
+    assert not applies(path(5), DEFAULT_BUDGET)   # odd order
+
+
+# -- claims as data ------------------------------------------------------------
+
+def test_registry_names_only_conjuncts_in_the_table():
+    used = set()
+    for name, parts in PARTS.items():
+        assert parts, name
+        for part in parts:
+            used.update(part.hypotheses)
+            used.update(f for f in {**part.conditions, **part.values}.values()
+                        if isinstance(f, str))
+    assert used <= set(CONJUNCTS)
+    # every conjunct is a hypothesis of some claim
+    assert {h for parts in PARTS.values() for p in parts for h in p.hypotheses} \
+        == set(CONJUNCTS)
+    assert set(PARTS) == set(ALL_CLAIMS)
+
+
+def test_applies_is_some_part_holding():
+    for g in labeled_graphs(5):
+        for name, claim in ALL_CLAIMS.items():
+            want = any(all(CONJUNCTS[h](g, DEFAULT_BUDGET) for h in part.hypotheses)
+                       for part in PARTS[name])
+            assert claim.applies(g, DEFAULT_BUDGET) == want, (name, encode_graph6(g))
+
+
+# The expected reports below were computed by the hand-written evaluators
+# that the parts replaced; each test kind keeps its exact shape.
+
+def test_all_report_shape_on_a_control():
+    claim = ALL_CLAIMS["control-ke-pendant-count-implies-square-stable"]
+    assert claim.violation(path(3), DEFAULT_BUDGET) == {
+        "conditions": {"square_stable": False, "very_well_covered": False}}
+    claim = ALL_CLAIMS["control-unique-perfect-matching-implies-square-stable"]
+    assert claim.violation(path(6), DEFAULT_BUDGET) == {
+        "conditions": {"square_stable": False}}
+
+
+def test_ascending_report_shape_on_a_planted_chain():
+    # i <= gamma is the chain's gamma <= i flipped
+    planted = Claim("planted-chain", "planted", *_evaluators([Part(
+        ("nonempty",), "ascending",
+        values={"ind_dom": lambda g, b: ind_dom(g, b)[0], "gamma": lambda g, b: gamma(g, b)[0]})]))
+    assert planted.applies(double_star(3, 3), DEFAULT_BUDGET)
+    assert planted.violation(double_star(3, 3), DEFAULT_BUDGET) == {
+        "values": {"ind_dom": 4, "gamma": 2}}
+    assert planted.violation(path(3), DEFAULT_BUDGET) is None
+
+
+def test_equal_report_shape_on_a_planted_table():
+    # "well covered == square-stable" fails on C4, which is well covered
+    planted = Claim("planted-equal", "planted", *_evaluators([Part(
+        ("nonempty",), "equal", {"well_covered": "well-covered", "square_stable": "square-stable"},
+        {"alpha": lambda g, b: invariants.alpha(g, b)[0]})]))
+    assert planted.violation(cycle(4), DEFAULT_BUDGET) == {
+        "conditions": {"well_covered": True, "square_stable": False}, "values": {"alpha": 2}}
+    assert planted.violation(path(2), DEFAULT_BUDGET) is None
+
+
+def test_two_part_claim_reports_only_the_parts_that_apply(monkeypatch):
+    # a planted bug: every graph is very well covered.  K3 meets only the
+    # first part of the claim (it is complete and not Konig-Egervary); C5
+    # meets the first and the third (it is not Konig-Egervary)
+    import squarestable.recognizers as recognizers
+
+    patch_everywhere(monkeypatch, recognizers.is_very_well_covered, lambda g, budget: True)
+    claim = ALL_CLAIMS["very-well-covered-basics"]
+    assert claim.violation(complete(3), DEFAULT_BUDGET) == {
+        "conditions": {"vwc_equals_wc_and_ke": False}}
+    assert claim.violation(cycle(5), DEFAULT_BUDGET) == {
+        "conditions": {"vwc_equals_wc_and_ke": False, "neighborhood_deletion_preserves": True}}
+    # K3 meets both parts here; the hand-written evaluator also reported an
+    # empty "values": {}, the one report whose shape changed
+    assert ALL_CLAIMS["vwc-pendant-characterization"].violation(complete(3), DEFAULT_BUDGET) == {
+        "conditions": {"square_stable_and_vwc": True, "ke_pm_alpha_pendants": False,
+                       "ke_base": False, "ke_square": False}}
 
 
 # -- engine behaviour ----------------------------------------------------------
@@ -243,10 +324,25 @@ def counted_pools(monkeypatch) -> list:
 
 def test_one_batch_family_starts_no_pool(monkeypatch):
     started = counted_pools(monkeypatch)
+    calls = Counter()
+
+    def counting(real):
+        def codec(*args, **kwargs):
+            calls[real.__name__] += 1
+            return real(*args, **kwargs)
+        return codec
+
+    for real in (encode_graph6, decode_graph6):
+        patch_everywhere(monkeypatch, real, counting(real))
     fam = GraphFamily.exhaustive(4)   # 64 graphs: one batch
     for name in ("inequality-chain", "control-well-covered-implies-square-stable"):
+        calls.clear()
         solo = run_claim(name, fam, jobs=1).to_json()
+        serial = dict(calls)   # the control encodes each refuting graph
+        calls.clear()
         assert run_claim(name, fam, jobs=2).to_json() == solo
+        # the batch is scanned as Graph objects, with no graph6 round trip
+        assert calls == serial and not calls["decode_graph6"], name
     assert started == []
 
 
