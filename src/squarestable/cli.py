@@ -14,15 +14,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .codec import (Graph6Error, decode_graph6, encode_graph6, graph6_strings,
                     parse_edge_list)
 from .graphs import Graph, square
-from .invariants import (BudgetExhausted, InvariantReport, SolverBudget,
-                         invariant_report)
-from .recognizers import RecognitionProfile, recognize
+from .invariants import BudgetExhausted, SolverBudget, invariant_report
+from .recognizers import recognize
 
 if TYPE_CHECKING:
     from .families import GraphFamily
@@ -31,24 +29,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class AnalysisRecord:
-    """One analyze line: invariants, recognition profile and solver timings."""
-
-    graph6: str
-    invariants: InvariantReport
-    profile: RecognitionProfile
-    timing: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "invariants": self.invariants.to_json_dict(),
-            "profile": self.profile.to_json_dict(),
-            "timing": self.timing,
-        }
 
 
 def _budget_from(args) -> SolverBudget:
@@ -92,9 +72,8 @@ def _cmd_analyze(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        record = AnalysisRecord(graph6=encode_graph6(g), invariants=report,
-                                profile=profile, timing=timing)
-        _print_json(record.to_json_dict())
+        _print_json({"graph6": encode_graph6(g), "invariants": report.to_json_dict(),
+                     "profile": profile.to_json_dict(), "timing": timing})
     return worst
 
 

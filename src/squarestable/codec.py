@@ -113,7 +113,9 @@ def decode_graph6(s: str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the two-line-header edge-list format: ``n m`` then m ``u v`` lines."""
+    """Parse the two-line-header edge-list format: ``n m`` then m ``u v`` lines.
+
+    The graphs are simple: a loop or a repeated edge is rejected by line."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("line 1: missing 'n m' header")
@@ -126,7 +128,9 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("line 1: header fields must be integers") from None
     if not 0 <= n <= _MAX_EDGE_LIST_N:
         raise ValueError(f"line 1: order {n} outside 0..{_MAX_EDGE_LIST_N}")
-    edges = []
+    if m < 0:
+        raise ValueError(f"line 1: negative edge count {m}")
+    edges = set()
     for i in range(m):
         lineno = i + 2
         if lineno - 1 >= len(lines):
@@ -140,7 +144,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: endpoints must be integers") from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"line {lineno}: edge ({u}, {v}) invalid for n={n}")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise ValueError(f"line {lineno}: repeated edge ({u}, {v})")
+        edges.add(edge)
     for extra_no, extra in enumerate(lines[m + 1:], m + 2):
         if extra.strip():
             raise ValueError(f"line {extra_no}: unexpected trailing content")

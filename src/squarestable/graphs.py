@@ -173,11 +173,6 @@ def square(g: Graph) -> Graph:
     return Graph._from_masks(out)
 
 
-def pendant_vertices(g: Graph) -> VertexSet:
-    """Vertices of degree exactly one."""
-    return frozenset(v for v in range(g.n) if g.degree(v) == 1)
-
-
 def pendant_edges(g: Graph) -> frozenset[Edge]:
     """Edges incident to at least one pendant vertex, normalized (u < v).
 

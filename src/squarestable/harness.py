@@ -262,8 +262,7 @@ CLAIMS: dict[str, Claim] = {c.name: c for c in [
            "six equivalent descriptions of connected square-stable graphs",
            Part(("nonempty", "connected"), "equal", {
                "unique_simplex_cover": lambda g, b: vertex_in_exactly_one_simplex(g),
-               "alpha_square_equal": lambda g, b: (
-                   memoized(g, alpha, b)[0] == memoized(memoized(g, square), alpha, b)[0]),
+               "alpha_square_equal": "square-stable",
                "theta_square_equal": lambda g, b: (
                    memoized(g, theta, b)[0] == memoized(memoized(g, square), theta, b)[0]),
                "all_six_invariants_equal": lambda g, b: len({f(g, b) for f in _SIX.values()}) == 1,

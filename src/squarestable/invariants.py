@@ -23,6 +23,7 @@ the fixed scan order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -55,8 +56,10 @@ class SolverBudget:
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
-            raise ValueError("budget caps must be positive")
+        # NaN fails both comparisons, so it is rejected with infinity
+        if not (0 < self.max_nodes < math.inf and 0 < self.max_seconds < math.inf):
+            raise ValueError(f"budget caps must be positive and finite, got "
+                             f"max_nodes={self.max_nodes}, max_seconds={self.max_seconds}")
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -104,7 +107,8 @@ class _Meter:
             raise BudgetExhausted(self.operation, self.nodes)
         elapsed = now - self.last_read
         grown = min(2 * self.interval, _CLOCK_INTERVAL)
-        self.interval = (max(1, min(grown, int(self.interval * self.slice / elapsed)))
+        # clamped before int(): a huge finite max_seconds overflows the ratio
+        self.interval = (max(1, int(min(grown, self.interval * self.slice / elapsed)))
                          if elapsed > 0 else grown)
         self.last_read = now
         self.check_at = min(self.nodes + self.interval, self.max_nodes + 1)
@@ -302,18 +306,6 @@ def _maximal_stable_masks(g: Graph, meter: _Meter) -> Iterator[int]:
     full = (1 << g.n) - 1
     adj = adjacency_masks(g)
     return _bron_kerbosch([full & ~adj[v] & ~(1 << v) for v in range(g.n)], full, meter)
-
-
-def enumerate_maximal_stable_sets(
-    g: Graph, budget: SolverBudget = DEFAULT_BUDGET
-) -> list[VertexSet]:
-    """Every inclusion-maximal stable set, exactly once, in lexicographic order."""
-    if g.n < 1:
-        raise ValueError("enumerate_maximal_stable_sets requires at least one vertex")
-    meter = _Meter("enumerate_maximal_stable_sets", budget, g.n)
-    sets = [_mask_to_set(m) for m in _maximal_stable_masks(g, meter)]
-    sets.sort(key=sorted)
-    return sets
 
 
 def omega_family(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[VertexSet]:

@@ -1,8 +1,9 @@
 """Class-membership tests with certificates.
 
-Each predicate follows its defining formula; where a fast structural route
-exists as well (pendant perfect matchings, distance-3 stable sets) both are
-exposed so the claim harness can compare the routes instead of trusting one.
+Each predicate follows its defining formula.  The one structural shortcut,
+a pendant perfect matching (which forces square stability), is exposed as
+its own predicate so the claim harness can check the implication instead of
+trusting it.
 
 The predicates read α(G), μ(G), the square, α(G²) and well-coveredness
 through the graph's memo (:func:`~squarestable.graphs.memoized`), so values
@@ -11,18 +12,18 @@ predicate, say) are not solved again.  A memoized value is computed from its
 definition, so reading it does not trust any other class test.
 
 ``recognize`` bundles the flags for one graph.  It computes the cheap
-structural facts first and may skip an expensive solve when an implication
-already decides a flag.  ``cross_check=True`` disables the shortcuts and
-verifies every flag from its definition through the predicates below,
-raising on any disagreement.
+structural facts first and skips the square's solve when a pendant perfect
+matching already decides square stability; otherwise ``is_square_stable``
+decides it.  ``cross_check=True`` disables the shortcut and verifies every
+other flag from its definition through the predicates below, raising on any
+disagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .graphs import Graph, VertexSet, distances, memoized, pendant_edges, square
+from .graphs import Graph, VertexSet, memoized, pendant_edges, square
 from .invariants import (DEFAULT_BUDGET, BudgetExhausted, Matching, SolverBudget,
                          _maximal_stable_masks, _mask_to_set, _Meter, alpha,
                          is_matching, mu, simplexes, simplicial_vertices)
@@ -50,15 +51,12 @@ def is_well_covered(
     """
     _require_vertices(g)
     meter = _Meter("is_well_covered", budget, g.n)
-    smallest = largest = None
+    first = None
     for m in _maximal_stable_masks(g, meter):
-        k = m.bit_count()
-        if smallest is None or k < smallest[0]:
-            smallest = (k, m)
-        if largest is None or k > largest[0]:
-            largest = (k, m)
-        if smallest[0] != largest[0]:
-            return False, _mask_to_set(smallest[1])
+        if first is None:
+            first = m
+        elif m.bit_count() != first.bit_count():
+            return False, _mask_to_set(min(first, m, key=int.bit_count))
     return True, None
 
 
@@ -75,28 +73,6 @@ def is_square_stable(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> bool:
     _require_vertices(g)
     return (memoized(g, alpha, budget)[0]
             == memoized(memoized(g, square), alpha, budget)[0])
-
-
-def has_distance3_maximum_stable_set(
-    g: Graph, budget: SolverBudget = DEFAULT_BUDGET
-) -> VertexSet | None:
-    """A maximum stable set whose members are pairwise at distance >= 3, if any.
-
-    A stable set of the square is exactly a set that is pairwise at distance
-    at least 3 in the base graph, so this searches the square for a stable
-    set matching the base stability number.  The result is re-validated
-    against the literal distance condition before being returned.
-    """
-    _require_vertices(g)
-    a = memoized(g, alpha, budget)[0]
-    a2, witness = memoized(memoized(g, square), alpha, budget)
-    if a2 != a:
-        return None
-    d = distances(g)
-    for u, v in combinations(sorted(witness), 2):
-        if d[u][v] is not None and d[u][v] < 3:  # pragma: no cover - safety net
-            raise AssertionError("square stable set violates the distance bound")
-    return witness
 
 
 def has_pendant_perfect_matching(g: Graph) -> Matching | None:
@@ -174,9 +150,10 @@ def recognize(
     Budget exhaustion never produces a wrong flag: the affected flag comes
     back ``None`` with a note in the certificates.  α, μ, the square, α(G²)
     and well-coveredness are read through the graph's memo.  With
-    ``cross_check=True`` the shortcuts are disabled and every decided flag
-    is compared with its predicate, which reads the same memoized values
-    from the definitions; any disagreement raises ``AssertionError``.
+    ``cross_check=True`` the pendant-matching shortcut is disabled, so
+    ``is_square_stable`` decides square stability, and every other decided
+    flag is compared with its predicate, which reads the same memoized
+    values from the definitions; any disagreement raises ``AssertionError``.
     """
     _require_vertices(g)
     certificates: dict = {}
@@ -237,14 +214,14 @@ def recognize(
         one_per_edge = sorted(min(e, key=lambda v: (g.degree(v), v)) for e in pm)
         certificates["square_stable"] = {"distance3_stable_set": one_per_edge}
     else:
-        d3 = run("square_stable", lambda: has_distance3_maximum_stable_set(g, budget))
-        if d3 is not _EXHAUSTED:
-            ss = d3 is not None
+        flag = run("square_stable", lambda: is_square_stable(g, budget))
+        if flag is not _EXHAUSTED:
+            ss = flag
+            # a stable set of the square is pairwise at distance >= 3 in g
             certificates["square_stable"] = (
-                {"distance3_stable_set": sorted(d3)} if ss
+                {"distance3_stable_set": sorted(
+                    memoized(memoized(g, square), alpha, budget)[1])} if ss
                 else {"alpha": a[0] if a is not _EXHAUSTED else None})
-        if cross_check and ss is not None:
-            assert ss == is_square_stable(g, budget), "route disagreement: square stability"
 
     if cross_check:
         if ke is not None:

@@ -6,7 +6,7 @@ import squarestable.invariants as invariants
 from conftest import patch_everywhere
 from squarestable.cli import cli_main
 from squarestable.codec import decode_graph6, encode_graph6
-from squarestable.graphs import square
+from squarestable.graphs import disjoint_union, square
 from squarestable.invariants import invariant_report
 from squarestable.named_graphs import c4_with_two_pendants, cycle, path, paw, star
 from squarestable.recognizers import recognize
@@ -235,6 +235,21 @@ def test_analyze_edgelist_error_exit_2():
     code, _, err = run_cli(["analyze", "--format", "edgelist"], stdin="3 1\n0 9\n")
     assert code == 2
     assert "line 2" in err
+    code, out, err = run_cli(["analyze", "--format", "edgelist"], stdin="3 2\n0 1\n1 0\n")
+    assert code == 2 and out == ""
+    assert "line 3: repeated edge" in err and "Traceback" not in err
+
+
+def test_non_finite_budget_seconds_exit_2(tmp_path, capsys):
+    # the solvers pass 4,096 nodes on this graph, where the clock is first read
+    src = tmp_path / "big.g6"
+    src.write_text(encode_graph6(disjoint_union(path(300), cycle(5))) + "\n")
+    for value in ("inf", "nan"):
+        rc = cli_main(["analyze", "--budget-nodes", "20000", "--budget-seconds", value,
+                       "--input", str(src)])
+        out, err = capsys.readouterr()
+        assert rc == 2, value
+        assert out == "" and "finite" in err, value
 
 
 def test_analyze_edgelist_huge_order_exit_2(tmp_path):

@@ -80,6 +80,13 @@ def test_parse_edge_list_examples():
     for head in ("258048 0", "-1 0"):
         with pytest.raises(ValueError, match="line 1"):
             parse_edge_list(head)
+    with pytest.raises(ValueError, match="line 1: negative edge count"):
+        parse_edge_list("3 -2\n0 1\n")
+    # the graphs are simple: a repeated edge, in either orientation
+    with pytest.raises(ValueError, match="line 3: repeated edge"):
+        parse_edge_list("3 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="line 4: repeated edge"):
+        parse_edge_list("3 3\n0 1\n1 2\n0 1\n")
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,9 +13,9 @@ from squarestable.graphs import (Graph, GraphError, adjacency_masks,
                                  disjoint_union, distances, girth,
                                  girth_at_least, is_connected,
                                  is_cycle_of_length, is_tree, memoized,
-                                 pendant_edges, pendant_vertices, square)
+                                 pendant_edges, square)
 from squarestable.named_graphs import (complete, complete_bipartite, cycle,
-                                       empty_graph, paw, path, star)
+                                       empty_graph, paw, path)
 
 
 def test_graph_normalizes():
@@ -98,12 +98,6 @@ def test_square_examples():
     assert square(complete(5)) == complete(5)
     assert square(path(4)).edges == frozenset(
         {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)})
-
-
-def test_pendant_vertices_examples():
-    assert pendant_vertices(path(4)) == {0, 3}
-    assert pendant_vertices(cycle(4)) == frozenset()
-    assert pendant_vertices(star(5)) == frozenset(range(1, 6))
 
 
 def test_pendant_edges_counts_k2_once():
@@ -197,12 +191,14 @@ def test_square_preserves_component_partition(g):
 @settings(max_examples=150)
 @given(graphs(max_n=8))
 def test_adjacent_pendants_only_in_k2_components(g):
-    pend = pendant_vertices(g)
-    for u in pend:
-        for v in pend:
-            if u < v and g.has_edge(u, v):
-                # the pair must form an isolated edge
-                assert g.neighbors(u) == {v} and g.neighbors(v) == {u}
+    # every pendant vertex lies on one of the edges; an edge has two pendant
+    # ends exactly when it is a whole component, so it is counted once
+    edges = pendant_edges(g)
+    pend = {v for v in range(g.n) if g.degree(v) == 1}
+    assert all(u < v and g.has_edge(u, v) for u, v in edges)
+    assert {w for e in edges for w in e if w in pend} == pend
+    k2 = sum(1 for c, _ in components(g) if c.n == 2)
+    assert len(edges) == len(pend) - k2
 
 
 def test_mask_routes_match_slow_routes_exhaustively():

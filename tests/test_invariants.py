@@ -9,11 +9,11 @@ from conftest import graphs, labeled_graphs
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import Graph, disjoint_union, induced_subgraph, square
-from squarestable.invariants import (OMEGA_ENUMERATION_CAP, BudgetExhausted,
-                                     SolverBudget, alpha,
-                                     core_set, count_perfect_matchings,
-                                     enumerate_maximal_stable_sets, gamma,
-                                     ind_dom, invariant_report,
+from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
+                                     BudgetExhausted, SolverBudget, _Meter,
+                                     _maximal_stable_masks, _mask_to_set,
+                                     alpha, core_set, count_perfect_matchings,
+                                     gamma, ind_dom, invariant_report,
                                      is_clique_partition, is_dominating_set,
                                      is_matching, is_maximal_stable_set,
                                      is_stable_set, maximal_cliques, mu,
@@ -37,14 +37,6 @@ def test_alpha_witness_is_lex_least():
     value, witness = alpha(path(4))
     assert value == 2 and witness == {0, 2}
     assert alpha(cycle(7))[1] == {0, 2, 4}
-
-
-def test_enumerate_maximal_stable_sets_examples():
-    assert enumerate_maximal_stable_sets(path(3)) == [frozenset({0, 2}), frozenset({1})]
-    assert enumerate_maximal_stable_sets(path(4)) == [
-        frozenset({0, 2}), frozenset({0, 3}), frozenset({1, 3})]
-    assert enumerate_maximal_stable_sets(complete(4)) == [
-        frozenset({v}) for v in range(4)]
 
 
 def test_omega_family_examples():
@@ -463,6 +455,19 @@ def test_budget_must_be_positive():
         SolverBudget(max_seconds=0)
 
 
+def test_budget_must_be_finite():
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SolverBudget(max_seconds=value)
+        with pytest.raises(ValueError, match="finite"):
+            SolverBudget(max_nodes=value)
+    # a huge finite cap is accepted, and rescaling the clock interval past
+    # the first read must not overflow
+    meter = _Meter("huge", SolverBudget(max_seconds=1e308), order=305)
+    for _ in range(10_000):
+        meter.tick()
+
+
 # -- oracle agreement and witness certification ------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -504,10 +509,12 @@ def test_report_internal_consistency(g):
 @settings(max_examples=150, deadline=None)
 @given(graphs(min_n=1, max_n=7))
 def test_maximal_stable_sets_exact_and_ordered(g):
-    got = enumerate_maximal_stable_sets(g)
-    assert sorted(map(sorted, got)) == [sorted(s) for s in got]  # lex order
-    assert set(got) == set(oracles.maximal_stable_sets_oracle(g))
+    # the stream is_well_covered reads, unordered: each maximal stable set
+    # exactly once, so in lexicographic order it is the oracle's list
+    meter = _Meter("maximal_stable_masks", DEFAULT_BUDGET, g.n)
+    got = [_mask_to_set(m) for m in _maximal_stable_masks(g, meter)]
     assert len(got) == len(set(got))
+    assert sorted(got, key=sorted) == sorted(oracles.maximal_stable_sets_oracle(g), key=sorted)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,17 +1,19 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
-from squarestable.graphs import Graph, disjoint_union
-from squarestable.invariants import alpha, is_matching, mu
+from conftest import graphs, labeled_graphs
+from squarestable.graphs import Graph, disjoint_union, distances
+from squarestable.harness import _distance3_maximum_stable_set_exists
+from squarestable.invariants import DEFAULT_BUDGET, alpha, is_matching, mu
 from squarestable.named_graphs import (GALLERY, c4_with_two_pendants,
                                        c5_with_two_pendants, comb, complete,
                                        cycle, diamond_with_pendant,
                                        empty_graph, net, path, paw, star,
                                        sunlet, triangle_with_tail,
                                        twin_triangle_path)
-from squarestable.recognizers import (has_distance3_maximum_stable_set,
-                                      has_pendant_perfect_matching,
+from squarestable.recognizers import (has_pendant_perfect_matching,
                                       is_koenig_egervary, is_simplicial_graph,
                                       is_square_stable, is_very_well_covered,
                                       is_well_covered, recognize,
@@ -62,10 +64,34 @@ def test_square_stable_examples():
 
 
 def test_distance3_maximum_stable_set_examples():
-    assert has_distance3_maximum_stable_set(path(4)) == {0, 3}
-    assert has_distance3_maximum_stable_set(cycle(4)) is None
-    single = has_distance3_maximum_stable_set(complete(5))
-    assert single is not None and len(single) == 1
+    # recognize's square-stability certificate, from the pendant shortcut
+    # and, under cross_check, from the square's alpha witness
+    for cross_check in (False, True):
+        cert = recognize(path(4), cross_check=cross_check).certificates["square_stable"]
+        assert cert == {"distance3_stable_set": [0, 3]}
+    c4 = recognize(cycle(4))
+    assert not c4.is_square_stable and c4.certificates["square_stable"] == {"alpha": 2}
+    single = recognize(complete(5)).certificates["square_stable"]["distance3_stable_set"]
+    assert len(single) == 1
+
+
+def test_square_stable_certificate_is_a_distance3_maximum_stable_set():
+    # every labeled graph up to 6 vertices, with and without the shortcut
+    decided = 0
+    for g in labeled_graphs(6):
+        if g.n == 0:
+            continue
+        d, a = distances(g), alpha(g)[0]
+        for cross_check in (False, True):
+            p = recognize(g, cross_check=cross_check)
+            if not p.is_square_stable:
+                continue
+            s = p.certificates["square_stable"]["distance3_stable_set"]
+            assert len(set(s)) == len(s) == a, (g.edges, cross_check)
+            assert all(d[u][v] is None or d[u][v] >= 3 for u, v in combinations(s, 2)), (
+                g.edges, cross_check)
+            decided += 1
+    assert decided > 1000
 
 
 def test_pendant_perfect_matching_examples():
@@ -160,9 +186,10 @@ def test_recognize_budget_exhaustion_flags_fields_none():
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs(min_n=1, max_n=7, connected=True))
+@given(graphs(min_n=1, max_n=8))
 def test_distance3_route_agrees_with_definition(g):
-    assert (has_distance3_maximum_stable_set(g) is not None) == is_square_stable(g)
+    # the harness's distance-3 search reads neither the square nor its alpha
+    assert _distance3_maximum_stable_set_exists(g, DEFAULT_BUDGET) == is_square_stable(g)
 
 
 @settings(max_examples=120, deadline=None)
