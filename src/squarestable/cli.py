@@ -4,8 +4,8 @@ Subcommands: ``analyze`` (full invariant + recognition records), ``recognize``
 (class flags only), ``square`` (emit the second power), ``verify`` (run claim
 checkers over a family), ``generate`` (emit a family as graph6 lines).
 
-Exit codes: 0 all good; 1 claim violation or control failure; 2 usage or
-parse error; 3 a solver budget was exhausted somewhere.
+Exit codes: 0 all good; 1 claim violation or control failure; 2 usage,
+parse or unreadable-input error; 3 a solver budget was exhausted somewhere.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Iterator
 
-from .codec import (Graph6Error, decode_graph6, encode_graph6, graph6_strings,
-                    parse_edge_list)
+from .codec import decode_graph6, encode_graph6, graph6_strings, parse_edge_list
 from .graphs import Graph, square
 from .invariants import BudgetExhausted, SolverBudget, invariant_report
 from .recognizers import recognize
@@ -69,11 +68,8 @@ def _cmd_analyze(args) -> int:
             _print_json({"graph6": encode_graph6(g), "error": str(exc)})
             worst = EXIT_BUDGET
             continue
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        _print_json({"graph6": encode_graph6(g), "invariants": report.to_json_dict(),
-                     "profile": profile.to_json_dict(), "timing": timing})
+        _print_json({"graph6": encode_graph6(g), "invariants": report,
+                     "profile": profile, "timing": timing})
     return worst
 
 
@@ -81,17 +77,11 @@ def _cmd_recognize(args) -> int:
     budget = _budget_from(args)
     worst = EXIT_OK
     for g in _input_graphs(args):
-        try:
-            profile = recognize(g, budget)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        record = {"graph6": encode_graph6(g), "profile": profile.to_json_dict()}
-        if any(flag is None for flag in (profile.is_ke, profile.is_well_covered,
-                                         profile.is_very_well_covered,
-                                         profile.is_square_stable)):
+        profile = recognize(g, budget)
+        if any(profile[k] is None for k in ("ke", "well_covered",
+                                            "very_well_covered", "square_stable")):
             worst = EXIT_BUDGET
-        _print_json(record)
+        _print_json({"graph6": encode_graph6(g), "profile": profile})
     return worst
 
 
@@ -131,7 +121,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "all":
         names = list(CLAIMS)
     elif args.theorem == "controls":
-        names = []
+        names = list(CONTROL_FAMILIES)
     elif args.theorem in ALL_CLAIMS:
         names = [args.theorem]
     else:
@@ -140,25 +130,20 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    failed = False
-    skipped_any = False
+    # a control scans its own families, never --family
+    family = (_family_from_args(args)
+              if any(name not in CONTROL_FAMILIES for name in names) else None)
     verdicts = []
-    if names:
-        family = _family_from_args(args)
-        for name in names:
-            if name in CONTROL_FAMILIES:
-                verdicts.extend(run_negative_controls(budget, args.jobs, names=[name]))
-            else:
-                verdicts.append(run_claim(name, family, budget, args.jobs))
-    if args.theorem == "controls":
-        verdicts.extend(run_negative_controls(budget, args.jobs))
+    for name in names:
+        if name in CONTROL_FAMILIES:
+            verdicts.extend(run_negative_controls(budget, args.jobs, names=[name]))
+        else:
+            verdicts.append(run_claim(name, family, budget, args.jobs))
     for verdict in verdicts:
-        _print_json(verdict.to_json_dict())
-        failed = failed or not verdict.passed
-        skipped_any = skipped_any or verdict.skipped > 0
-    if failed:
+        _print_json(verdict)
+    if not all(verdict["passed"] for verdict in verdicts):
         return EXIT_VIOLATION
-    if skipped_any:
+    if any(verdict["skipped"] for verdict in verdicts):
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -236,7 +221,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (Graph6Error, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhausted as exc:
@@ -244,6 +229,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:
+        # an unreadable --input or graph6: family file is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -16,9 +16,8 @@ that comes back green is a harness failure.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice, pairwise
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -35,40 +34,6 @@ from .recognizers import (has_pendant_perfect_matching, is_koenig_egervary,
                           is_simplicial_graph, is_square_stable,
                           is_very_well_covered, is_well_covered,
                           vertex_in_exactly_one_simplex)
-
-
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Outcome of one claim checked over one family."""
-
-    theorem_id: str
-    family: str
-    graphs_seen: int
-    graphs_checked: int
-    skipped: int
-    passed: bool
-    counterexample: dict | None
-    kind: str = "theorem"
-
-    @property
-    def complete(self) -> bool:
-        return self.skipped == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem_id,
-            "kind": self.kind,
-            "family": self.family,
-            "graphs_seen": self.graphs_seen,
-            "graphs_checked": self.graphs_checked,
-            "skipped": self.skipped,
-            "complete": self.complete,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
 
 
 @dataclass(frozen=True)
@@ -477,8 +442,9 @@ def run_claim(
     family: GraphFamily | Sequence[GraphFamily],
     budget: SolverBudget = DEFAULT_BUDGET,
     jobs: int = 1,
-) -> TheoremVerdict:
-    """Check one registered claim over a family and aggregate the verdict."""
+) -> dict:
+    """Check one registered claim over a family; the verdict is the record
+    ``verify`` prints."""
     claim = ALL_CLAIMS[name]
     fams = (family,) if isinstance(family, GraphFamily) else tuple(family)
     if jobs <= 1:
@@ -497,19 +463,17 @@ def run_claim(
                 batches.append((name, chunk, budget))
             with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
                 seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
-    counterexample = None
-    if best is not None:
-        counterexample = {"graph6": best[0], **best[1]}
-    return TheoremVerdict(
-        theorem_id=name,
-        family=" + ".join(f.describe() for f in fams),
-        graphs_seen=seen,
-        graphs_checked=checked,
-        skipped=skipped,
-        passed=best is None,
-        counterexample=counterexample,
-        kind="control" if name in CONTROL_CLAIMS else "theorem",
-    )
+    return {
+        "theorem": name,
+        "kind": "control" if name in CONTROL_CLAIMS else "theorem",
+        "family": " + ".join(f.describe() for f in fams),
+        "graphs_seen": seen,
+        "graphs_checked": checked,
+        "skipped": skipped,
+        "complete": skipped == 0,
+        "passed": best is None,
+        "counterexample": None if best is None else {"graph6": best[0], **best[1]},
+    }
 
 
 def reverify_counterexample(name: str, counterexample: dict,
@@ -523,7 +487,7 @@ def reverify_counterexample(name: str, counterexample: dict,
 def run_negative_controls(
     budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1,
     names: Sequence[str] | None = None,
-) -> list[TheoremVerdict]:
+) -> list[dict]:
     """Run the planted-false claims; each must be refuted and re-verified.
 
     The returned verdicts invert the usual meaning of ``passed``: a control
@@ -534,8 +498,7 @@ def run_negative_controls(
         if names is not None and name not in names:
             continue
         verdict = run_claim(name, fams, budget, jobs)
-        refuted = (not verdict.passed
-                   and verdict.counterexample is not None
-                   and reverify_counterexample(name, verdict.counterexample, budget))
-        out.append(replace(verdict, passed=refuted))
+        refuted = (not verdict["passed"]
+                   and reverify_counterexample(name, verdict["counterexample"], budget))
+        out.append({**verdict, "passed": refuted})
     return out

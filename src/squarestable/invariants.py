@@ -915,43 +915,10 @@ def is_dominating_set(g: Graph, d: VertexSet) -> bool:
     return _within(g, d) and all(v in d or g.neighbors(v) & d for v in range(g.n))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Exact invariant values for one graph plus certifying witnesses."""
-
-    alpha: int
-    mu: int
-    theta: int
-    gamma: int
-    ind_dom: int
-    girth: int | None
-    stable_set: VertexSet
-    matching: Matching
-    clique_cover: tuple[VertexSet, ...]
-    dominating_set: VertexSet
-    min_maximal_stable_set: VertexSet
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "theta": self.theta,
-            "gamma": self.gamma,
-            "ind_dom": self.ind_dom,
-            "girth": self.girth,
-            "witnesses": {
-                "stable_set": sorted(self.stable_set),
-                "matching": sorted(sorted(e) for e in self.matching),
-                "clique_cover": sorted(sorted(c) for c in self.clique_cover),
-                "dominating_set": sorted(self.dominating_set),
-                "min_maximal_stable_set": sorted(self.min_maximal_stable_set),
-            },
-        }
-
-
 def invariant_report(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
-                     timing: dict[str, float] | None = None) -> InvariantReport:
-    """Compute every invariant of the report for one graph.
+                     timing: dict[str, float] | None = None) -> dict:
+    """The ``"invariants"`` record of ``analyze`` for one graph: each
+    invariant's exact value, then its certifying witness as sorted lists.
 
     Each solver's full result is read through the graph's memo
     (:func:`~squarestable.graphs.memoized`), so a value another caller
@@ -971,8 +938,14 @@ def invariant_report(g: Graph, budget: SolverBudget = DEFAULT_BUDGET,
     t, t_parts = solved("theta", theta, budget)
     d, d_set = solved("gamma", gamma, budget)
     i, i_set = solved("ind_dom", ind_dom, budget)
-    return InvariantReport(
-        alpha=a, mu=m, theta=t, gamma=d, ind_dom=i, girth=_girth(g),
-        stable_set=a_set, matching=m_set, clique_cover=t_parts,
-        dominating_set=d_set, min_maximal_stable_set=i_set,
-    )
+    return {
+        "alpha": a, "mu": m, "theta": t, "gamma": d, "ind_dom": i,
+        "girth": _girth(g),
+        "witnesses": {
+            "stable_set": sorted(a_set),
+            "matching": sorted(sorted(e) for e in m_set),
+            "clique_cover": sorted(sorted(c) for c in t_parts),
+            "dominating_set": sorted(d_set),
+            "min_maximal_stable_set": sorted(i_set),
+        },
+    }

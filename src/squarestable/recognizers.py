@@ -14,19 +14,15 @@ definition, so reading it does not trust any other class test.
 ``recognize`` bundles the flags for one graph.  It computes the cheap
 structural facts first and skips the square's solve when a pendant perfect
 matching already decides square stability; otherwise ``is_square_stable``
-decides it.  ``cross_check=True`` disables the shortcut and verifies every
-other flag from its definition through the predicates below, raising on any
-disagreement.
+decides it.  The tests compare every flag with its predicate below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graphs import Graph, VertexSet, memoized, pendant_edges, square
 from .invariants import (DEFAULT_BUDGET, BudgetExhausted, Matching, SolverBudget,
                          _maximal_stable_masks, _mask_to_set, _Meter, alpha,
-                         is_matching, mu, simplexes, simplicial_vertices)
+                         mu, simplexes, simplicial_vertices)
 
 
 def _require_vertices(g: Graph) -> None:
@@ -111,49 +107,16 @@ def vertex_in_exactly_one_simplex(g: Graph) -> bool:
     return all(c == 1 for c in count)
 
 
-@dataclass(frozen=True)
-class RecognitionProfile:
-    """Flag bundle for one graph; ``None`` marks a flag whose solver ran out
-    of budget.  Certificates carry the evidence for each decided flag."""
-
-    is_ke: bool | None
-    is_well_covered: bool | None
-    is_very_well_covered: bool | None
-    is_square_stable: bool | None
-    is_simplicial_graph: bool | None
-    has_pendant_pm: bool | None
-    certificates: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ke": self.is_ke,
-            "well_covered": self.is_well_covered,
-            "very_well_covered": self.is_very_well_covered,
-            "square_stable": self.is_square_stable,
-            "simplicial_graph": self.is_simplicial_graph,
-            "pendant_perfect_matching": self.has_pendant_pm,
-            "certificates": self.certificates,
-        }
-
-
 _EXHAUSTED = object()
 
 
-def recognize(
-    g: Graph,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    *,
-    cross_check: bool = False,
-) -> RecognitionProfile:
-    """Compute all six class flags with certificates.
+def recognize(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> dict:
+    """The ``"profile"`` record of ``recognize`` and ``analyze``: all six
+    class flags, then their certificates.
 
     Budget exhaustion never produces a wrong flag: the affected flag comes
     back ``None`` with a note in the certificates.  α, μ, the square, α(G²)
-    and well-coveredness are read through the graph's memo.  With
-    ``cross_check=True`` the pendant-matching shortcut is disabled, so
-    ``is_square_stable`` decides square stability, and every other decided
-    flag is compared with its predicate, which reads the same memoized
-    values from the definitions; any disagreement raises ``AssertionError``.
+    and well-coveredness are read through the graph's memo.
     """
     _require_vertices(g)
     certificates: dict = {}
@@ -207,7 +170,7 @@ def recognize(
         }
 
     ss: bool | None = None
-    if pm is not None and not cross_check:
+    if pm is not None:
         # a pendant perfect matching forces square stability; one pendant
         # endpoint per matched edge is the distance-3 certificate
         ss = True
@@ -223,21 +186,12 @@ def recognize(
                     memoized(memoized(g, square), alpha, budget)[1])} if ss
                 else {"alpha": a[0] if a is not _EXHAUSTED else None})
 
-    if cross_check:
-        if ke is not None:
-            assert ke == is_koenig_egervary(g, budget)
-        if vwc is not None and a is not _EXHAUSTED:
-            assert vwc == is_very_well_covered(g, budget)
-        if pm is not None:
-            # ss is None when the square's alpha ran out of budget
-            assert is_matching(g, pm) and ss is not False
-
-    return RecognitionProfile(
-        is_ke=ke,
-        is_well_covered=wc,
-        is_very_well_covered=vwc,
-        is_square_stable=ss,
-        is_simplicial_graph=simplicial_flag,
-        has_pendant_pm=pm is not None,
-        certificates=certificates,
-    )
+    return {
+        "ke": ke,
+        "well_covered": wc,
+        "very_well_covered": vwc,
+        "square_stable": ss,
+        "simplicial_graph": simplicial_flag,
+        "pendant_perfect_matching": pm is not None,
+        "certificates": certificates,
+    }

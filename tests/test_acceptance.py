@@ -84,10 +84,10 @@ def test_criterion_2_six_way_equivalences_exhaustive():
     verdict = run_claim("square-stable-equivalences", fams)
     elapsed = time.perf_counter() - t0
     _report("criterion-2 six-way-equivalences",
-            verdict.passed and verdict.complete
-            and verdict.graphs_checked == 1 + 1 + 4 + 38 + 728 + 26704
+            verdict["passed"] and verdict["complete"]
+            and verdict["graphs_checked"] == 1 + 1 + 4 + 38 + 728 + 26704
             and elapsed < 600,
-            f"0 counterexamples over {verdict.graphs_checked} connected graphs "
+            f"0 counterexamples over {verdict['graphs_checked']} connected graphs "
             f"(n<=6) in {elapsed:.1f}s (<= 600s)")
 
 
@@ -100,10 +100,10 @@ def test_criterion_3_ke_characterization():
     v2 = run_claim("ke-square-stable-characterization", random_cells)
     elapsed = time.perf_counter() - t0
     _report("criterion-3 ke-characterization",
-            v1.passed and v2.passed and v1.complete and v2.complete
-            and v2.graphs_checked >= 10_000,
-            f"0 counterexamples; exhaustive n 2..6 checked {v1.graphs_checked} "
-            f"connected KE graphs, random sweep checked {v2.graphs_checked} "
+            v1["passed"] and v2["passed"] and v1["complete"] and v2["complete"]
+            and v2["graphs_checked"] >= 10_000,
+            f"0 counterexamples; exhaustive n 2..6 checked {v1['graphs_checked']} "
+            f"connected KE graphs, random sweep checked {v2['graphs_checked']} "
             f"(>= 10000) in {elapsed:.1f}s")
 
 
@@ -117,12 +117,12 @@ def test_criterion_4_tree_equivalences():
     v2 = run_claim("tree-well-covered-equivalences", random_trees)
     elapsed = time.perf_counter() - t0
     _report("criterion-4 tree-equivalences",
-            v1.passed and v2.passed and v1.complete and v2.complete
-            and v1.graphs_checked == cayley_total
-            and v2.graphs_checked >= 10_000 and elapsed < 900,
-            f"0 counterexamples over {v1.graphs_checked} labeled trees "
+            v1["passed"] and v2["passed"] and v1["complete"] and v2["complete"]
+            and v1["graphs_checked"] == cayley_total
+            and v2["graphs_checked"] >= 10_000 and elapsed < 900,
+            f"0 counterexamples over {v1['graphs_checked']} labeled trees "
             f"(n 2..8, capped below n=9 to hold the time budget) plus "
-            f"{v2.graphs_checked} random trees (n 10..16) in {elapsed:.1f}s "
+            f"{v2['graphs_checked']} random trees (n 10..16) in {elapsed:.1f}s "
             f"(<= 900s)")
 
 
@@ -143,11 +143,11 @@ def test_criterion_5_remaining_claims_exhaustive_and_random():
     for name in names:
         v1 = run_claim(name, exhaustive)
         v2 = run_claim(name, SWEEP_CELLS)
-        ok = v1.passed and v2.passed and v1.complete and v2.complete
+        ok = v1["passed"] and v2["passed"] and v1["complete"] and v2["complete"]
         all_ok = all_ok and ok
-        lines.append(f"{name}: exhaustive {v1.graphs_checked}, "
-                     f"random {v2.graphs_checked}")
-        assert ok, (name, v1.counterexample, v2.counterexample)
+        lines.append(f"{name}: exhaustive {v1['graphs_checked']}, "
+                     f"random {v2['graphs_checked']}")
+        assert ok, (name, v1["counterexample"], v2["counterexample"])
     elapsed = time.perf_counter() - t0
     _report("criterion-5 remaining-claims", all_ok,
             f"0 counterexamples over exhaustive n<=6 plus G(n,p) sweeps "
@@ -162,7 +162,7 @@ def test_criterion_5_supplementary_claims():
     for name in ("square-simplicial-correspondence",
                  "pendant-matching-implies-square-stable"):
         v = run_claim(name, exhaustive)
-        assert v.passed and v.complete, (name, v.counterexample)
+        assert v["passed"] and v["complete"], (name, v["counterexample"])
 
 
 def test_criterion_6_oracle_equivalence():
@@ -189,7 +189,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_negative_controls():
     t0 = time.perf_counter()
     verdicts = run_negative_controls()
-    all_refuted = all(v.passed for v in verdicts)
+    all_refuted = all(v["passed"] for v in verdicts)
 
     # the specific promised witnesses also refute their claims directly
     unique_pm = ALL_CLAIMS["control-unique-perfect-matching-implies-square-stable"]
@@ -208,7 +208,7 @@ def test_criterion_7_negative_controls():
         omega_claim.applies(fused_triangles(), DEFAULT_BUDGET)
         and omega_claim.violation(fused_triangles(), DEFAULT_BUDGET) is not None)
 
-    witness_sizes = {v.theorem_id: decode_graph6(v.counterexample["graph6"]).n
+    witness_sizes = {v["theorem"]: decode_graph6(v["counterexample"]["graph6"]).n
                      for v in verdicts}
     elapsed = time.perf_counter() - t0
     _report("criterion-7 negative-controls", all_refuted and named,

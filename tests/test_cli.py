@@ -74,8 +74,8 @@ def test_analyze_solves_alpha_once_per_record(monkeypatch, tmp_path, capsys):
         del record["timing"]
         separately = {
             "graph6": line,
-            "invariants": invariant_report(decode_graph6(line)).to_json_dict(),
-            "profile": recognize(decode_graph6(line)).to_json_dict(),
+            "invariants": invariant_report(decode_graph6(line)),
+            "profile": recognize(decode_graph6(line)),
         }
         assert record == json.loads(json.dumps(separately))
 
@@ -250,6 +250,35 @@ def test_non_finite_budget_seconds_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert rc == 2, value
         assert out == "" and "finite" in err, value
+
+
+def test_unreadable_input_exit_2(tmp_path):
+    missing = tmp_path / "missing.g6"
+    for args in (["analyze", "--input", str(missing)],
+                 ["verify", "--theorem", "all", "--family", f"graph6:{missing}"]):
+        code, out, err = run_cli(args)
+        assert code == 2 and out == "", args
+        assert err.startswith("error:") and "Traceback" not in err, args
+
+
+def test_control_claim_reads_no_family(tmp_path):
+    # a control scans its own families, so an unreadable --family is unread
+    name = "control-well-covered-implies-square-stable"
+    code, out, err = run_cli(["verify", "--theorem", name,
+                              "--family", f"graph6:{tmp_path / 'missing.g6'}"])
+    assert code == 0 and err == ""
+    assert out == run_cli(["verify", "--theorem", name])[1]
+
+
+def test_empty_graph_ends_the_stream_with_exit_2():
+    # the records before the empty graph stay printed; the error goes to stderr
+    for command, message in (("analyze", "theta requires at least one vertex"),
+                             ("recognize", "class predicates are undefined "
+                                           "for the empty graph")):
+        code, out, err = run_cli([command], stdin="Bo\n?\nCx\n")
+        assert code == 2, command
+        assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["Bo"]
+        assert err == f"error: {message}\n", command
 
 
 def test_analyze_edgelist_huge_order_exit_2(tmp_path):

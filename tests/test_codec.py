@@ -20,7 +20,7 @@ def test_reference_values():
     assert decode_graph6("C?") == Graph(4, [])
 
 
-def test_reference_implementation_cross_check():
+def test_encoding_matches_reference_implementation():
     networkx = pytest.importorskip("networkx")
     # every labeled graph on at most 6 vertices, then empty, complete and
     # random graphs at orders whose pair counts take every residue mod 6

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import oracles
@@ -153,30 +152,30 @@ def test_two_part_claim_reports_only_the_parts_that_apply(monkeypatch):
 def test_all_claims_pass_small_exhaustive():
     for name in CLAIMS:
         verdict = run_claim(name, SMALL)
-        assert verdict.passed, (name, verdict.counterexample)
-        assert verdict.skipped == 0 and verdict.complete
+        assert verdict["passed"], (name, verdict["counterexample"])
+        assert verdict["skipped"] == 0 and verdict["complete"]
 
 
 def test_verdict_counts_hypothesis_filtering():
     verdict = run_claim("tree-well-covered-equivalences", GraphFamily.exhaustive(4))
-    assert verdict.graphs_seen == 64
+    assert verdict["graphs_seen"] == 64
     # labeled trees on 4 vertices: 16 of the 64 graphs
-    assert verdict.graphs_checked == 16
+    assert verdict["graphs_checked"] == 16
 
 
 def test_determinism_identical_runs():
     fams = [GraphFamily.gnp(7, 0.4, 40, seed=5), GraphFamily.exhaustive(4)]
     for name in ("inequality-chain", "vwc-pendant-characterization"):
-        a = run_claim(name, fams).to_json()
-        b = run_claim(name, fams).to_json()
+        a = run_claim(name, fams)
+        b = run_claim(name, fams)
         assert a == b
 
 
 def test_jobs_do_not_change_the_verdict():
     fams = [GraphFamily.exhaustive(5)]
     for name in ("square-stable-equivalences", "control-well-covered-implies-square-stable"):
-        solo = run_claim(name, fams, jobs=1).to_json()
-        multi = run_claim(name, fams, jobs=2).to_json()
+        solo = run_claim(name, fams, jobs=1)
+        multi = run_claim(name, fams, jobs=2)
         assert solo == multi
 
 
@@ -205,10 +204,10 @@ def test_budget_exhaustion_records_skips_not_failures():
     verdict = run_claim("inequality-chain", GraphFamily.graph6_lines(
         [encode_graph6(comb(8)), encode_graph6(path(3))], label="unit"),
         budget=SolverBudget(max_nodes=8, max_seconds=60.0))
-    assert verdict.passed
-    assert verdict.skipped == 1
-    assert verdict.graphs_checked == 1
-    assert not verdict.complete
+    assert verdict["passed"]
+    assert verdict["skipped"] == 1
+    assert verdict["graphs_checked"] == 1
+    assert not verdict["complete"]
 
 
 def test_counterexample_is_lexicographically_least():
@@ -216,34 +215,33 @@ def test_counterexample_is_lexicographically_least():
     lines = sorted(encode_graph6(g) for g in bad)
     verdict = run_claim("control-well-covered-implies-square-stable",
                         GraphFamily.graph6_lines(lines[::-1], label="unit"))
-    assert not verdict.passed
-    assert verdict.counterexample["graph6"] == lines[0]
+    assert not verdict["passed"]
+    assert verdict["counterexample"]["graph6"] == lines[0]
 
 
 def test_counterexample_reverifies_from_graph6():
     verdict = run_claim("control-unique-perfect-matching-implies-square-stable",
                         [GraphFamily.exhaustive(4)])
-    assert not verdict.passed
-    assert reverify_counterexample(verdict.theorem_id, verdict.counterexample)
+    assert not verdict["passed"]
+    assert reverify_counterexample(verdict["theorem"], verdict["counterexample"])
 
 
 def test_negative_controls_all_refute():
     verdicts = run_negative_controls()
     assert len(verdicts) == len(CONTROL_FAMILIES)
     for v in verdicts:
-        assert v.kind == "control"
-        assert v.passed, v.theorem_id
-        assert v.counterexample is not None
+        assert v["kind"] == "control"
+        assert v["passed"], v["theorem"]
+        assert v["counterexample"] is not None
 
 
 def test_control_counterexamples_match_expected_shapes():
-    by_name = {v.theorem_id: v for v in run_negative_controls()}
+    by_name = {v["theorem"]: v for v in run_negative_controls()}
     wc_cex = decode_graph6(
-        by_name["control-well-covered-implies-square-stable"].counterexample["graph6"])
+        by_name["control-well-covered-implies-square-stable"]["counterexample"]["graph6"])
     assert is_cycle_of_length(wc_cex, 4)
-    pm_cex = decode_graph6(
-        by_name["control-unique-perfect-matching-implies-square-stable"]
-        .counterexample["graph6"])
+    pm = by_name["control-unique-perfect-matching-implies-square-stable"]
+    pm_cex = decode_graph6(pm["counterexample"]["graph6"])
     assert pm_cex.n == 4 and len(pm_cex.edges) == 4  # a labeled paw
 
 
@@ -279,12 +277,11 @@ def test_gallery_passes_every_applicable_claim():
     fam = GraphFamily.graph6_lines(lines, label="gallery")
     for name in CLAIMS:
         verdict = run_claim(name, fam)
-        assert verdict.passed, (name, verdict.counterexample)
+        assert verdict["passed"], (name, verdict["counterexample"])
 
 
 def test_verdict_json_shape():
-    verdict = run_claim("inequality-chain", GraphFamily.exhaustive(3))
-    record = json.loads(verdict.to_json())
+    record = run_claim("inequality-chain", GraphFamily.exhaustive(3))
     assert list(record) == ["theorem", "kind", "family", "graphs_seen",
                             "graphs_checked", "skipped", "complete", "passed",
                             "counterexample"]
@@ -304,9 +301,9 @@ def test_jobs_verdict_matches_serial_across_many_batches():
     fam = GraphFamily.graph6_lines(lines, label="batches")
     name = "control-well-covered-implies-square-stable"
     solo = run_claim(name, fam, jobs=1)
-    assert solo.counterexample["graph6"] == refutations[0]
-    assert solo.graphs_seen == solo.graphs_checked == len(lines)
-    assert run_claim(name, fam, jobs=2).to_json() == solo.to_json()
+    assert solo["counterexample"]["graph6"] == refutations[0]
+    assert solo["graphs_seen"] == solo["graphs_checked"] == len(lines)
+    assert run_claim(name, fam, jobs=2) == solo
 
 
 def counted_pools(monkeypatch) -> list:
@@ -337,10 +334,10 @@ def test_one_batch_family_starts_no_pool(monkeypatch):
     fam = GraphFamily.exhaustive(4)   # 64 graphs: one batch
     for name in ("inequality-chain", "control-well-covered-implies-square-stable"):
         calls.clear()
-        solo = run_claim(name, fam, jobs=1).to_json()
+        solo = run_claim(name, fam, jobs=1)
         serial = dict(calls)   # the control encodes each refuting graph
         calls.clear()
-        assert run_claim(name, fam, jobs=2).to_json() == solo
+        assert run_claim(name, fam, jobs=2) == solo
         # the batch is scanned as Graph objects, with no graph6 round trip
         assert calls == serial and not calls["decode_graph6"], name
     assert started == []
@@ -351,9 +348,9 @@ def test_pool_starts_no_more_workers_than_batches(monkeypatch):
     lines = [encode_graph6(g) for g in generate(GraphFamily.exhaustive(5))]
     fam = GraphFamily.graph6_lines(lines[:3 * _BATCH_SIZE], label="three-batches")
     name = "square-stable-equivalences"
-    solo = run_claim(name, fam, jobs=1).to_json()
+    solo = run_claim(name, fam, jobs=1)
     assert started == []
-    assert run_claim(name, fam, jobs=8).to_json() == solo
+    assert run_claim(name, fam, jobs=8) == solo
     assert started == [3]
 
 

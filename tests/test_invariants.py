@@ -484,26 +484,27 @@ def test_solvers_match_oracles(g):
 @given(graphs(min_n=1, max_n=7))
 def test_witnesses_certify(g):
     report = invariant_report(g)
-    assert is_stable_set(g, report.stable_set)
-    assert len(report.stable_set) == report.alpha
-    assert is_matching(g, report.matching)
-    assert len(report.matching) == report.mu
-    assert is_clique_partition(g, report.clique_cover)
-    assert len(report.clique_cover) == report.theta
-    assert is_dominating_set(g, report.dominating_set)
-    assert len(report.dominating_set) == report.gamma
-    assert is_maximal_stable_set(g, report.min_maximal_stable_set)
-    assert len(report.min_maximal_stable_set) == report.ind_dom
+    wit = report["witnesses"]
+    assert is_stable_set(g, frozenset(wit["stable_set"]))
+    assert len(wit["stable_set"]) == report["alpha"]
+    assert is_matching(g, frozenset(tuple(e) for e in wit["matching"]))
+    assert len(wit["matching"]) == report["mu"]
+    assert is_clique_partition(g, tuple(frozenset(c) for c in wit["clique_cover"]))
+    assert len(wit["clique_cover"]) == report["theta"]
+    assert is_dominating_set(g, frozenset(wit["dominating_set"]))
+    assert len(wit["dominating_set"]) == report["gamma"]
+    assert is_maximal_stable_set(g, frozenset(wit["min_maximal_stable_set"]))
+    assert len(wit["min_maximal_stable_set"]) == report["ind_dom"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(min_n=1, max_n=7))
 def test_report_internal_consistency(g):
     r = invariant_report(g)
-    assert r.alpha >= 1
-    assert r.mu <= g.n // 2
-    assert r.theta >= r.alpha
-    assert r.gamma <= r.ind_dom <= r.alpha
+    assert r["alpha"] >= 1
+    assert r["mu"] <= g.n // 2
+    assert r["theta"] >= r["alpha"]
+    assert r["gamma"] <= r["ind_dom"] <= r["alpha"]
 
 
 @settings(max_examples=150, deadline=None)

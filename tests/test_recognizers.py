@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from conftest import graphs, labeled_graphs
 from squarestable.graphs import Graph, disjoint_union, distances
 from squarestable.harness import _distance3_maximum_stable_set_exists
-from squarestable.invariants import DEFAULT_BUDGET, alpha, is_matching, mu
+from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, alpha,
+                                     is_matching, mu)
 from squarestable.named_graphs import (GALLERY, c4_with_two_pendants,
                                        c5_with_two_pendants, comb, complete,
                                        cycle, diamond_with_pendant,
@@ -64,34 +66,33 @@ def test_square_stable_examples():
 
 
 def test_distance3_maximum_stable_set_examples():
-    # recognize's square-stability certificate, from the pendant shortcut
-    # and, under cross_check, from the square's alpha witness
-    for cross_check in (False, True):
-        cert = recognize(path(4), cross_check=cross_check).certificates["square_stable"]
-        assert cert == {"distance3_stable_set": [0, 3]}
+    # recognize's square-stability certificate: one pendant end per matched
+    # edge of P4, and the square's alpha witness on K5
+    cert = recognize(path(4))["certificates"]["square_stable"]
+    assert cert == {"distance3_stable_set": [0, 3]}
     c4 = recognize(cycle(4))
-    assert not c4.is_square_stable and c4.certificates["square_stable"] == {"alpha": 2}
-    single = recognize(complete(5)).certificates["square_stable"]["distance3_stable_set"]
+    assert c4["square_stable"] is False
+    assert c4["certificates"]["square_stable"] == {"alpha": 2}
+    single = recognize(complete(5))["certificates"]["square_stable"]["distance3_stable_set"]
     assert len(single) == 1
 
 
 def test_square_stable_certificate_is_a_distance3_maximum_stable_set():
-    # every labeled graph up to 6 vertices, with and without the shortcut
-    decided = 0
+    # every labeled graph up to 6 vertices; both certificate routes occur:
+    # the pendant ends of a pendant perfect matching, and alpha of the square
+    routes = Counter()
     for g in labeled_graphs(6):
         if g.n == 0:
             continue
+        p = recognize(g)
+        if not p["square_stable"]:
+            continue
         d, a = distances(g), alpha(g)[0]
-        for cross_check in (False, True):
-            p = recognize(g, cross_check=cross_check)
-            if not p.is_square_stable:
-                continue
-            s = p.certificates["square_stable"]["distance3_stable_set"]
-            assert len(set(s)) == len(s) == a, (g.edges, cross_check)
-            assert all(d[u][v] is None or d[u][v] >= 3 for u, v in combinations(s, 2)), (
-                g.edges, cross_check)
-            decided += 1
-    assert decided > 1000
+        s = p["certificates"]["square_stable"]["distance3_stable_set"]
+        assert len(set(s)) == len(s) == a, g.edges
+        assert all(d[u][v] is None or d[u][v] >= 3 for u, v in combinations(s, 2)), g.edges
+        routes["pendant" if p["pendant_perfect_matching"] else "square alpha"] += 1
+    assert routes["pendant"] > 100 and routes["square alpha"] > 1000, routes
 
 
 def test_pendant_perfect_matching_examples():
@@ -134,55 +135,64 @@ def test_rejects_empty_graph():
         recognize(empty)
 
 
+FLAGS = ("ke", "well_covered", "very_well_covered", "square_stable",
+         "simplicial_graph", "pendant_perfect_matching")
+
+
 def test_recognize_c4():
     p = recognize(cycle(4))
-    assert (p.is_ke, p.is_well_covered, p.is_very_well_covered,
-            p.is_square_stable) == (True, True, True, False)
-    assert not p.is_simplicial_graph and not p.has_pendant_pm
+    assert [p[k] for k in FLAGS] == [True, True, True, False, False, False]
 
 
 def test_recognize_p4_all_true():
     p = recognize(path(4))
-    assert all([p.is_ke, p.is_well_covered, p.is_very_well_covered,
-                p.is_square_stable, p.is_simplicial_graph, p.has_pendant_pm])
+    assert all(p[k] is True for k in FLAGS)
 
 
 def test_recognize_twin_triangle_path():
     p = recognize(twin_triangle_path())
-    assert p.is_square_stable and not p.is_ke
+    assert p["square_stable"] and not p["ke"]
 
 
-def test_recognize_cross_check_on_gallery():
+def predicate_flags(g: Graph) -> dict:
+    """Each flag from its predicate, on a copy of ``g`` with an empty memo."""
+    g = Graph(g.n, g.edges)
+    return {
+        "ke": is_koenig_egervary(g),
+        "well_covered": is_well_covered(g)[0],
+        "very_well_covered": is_very_well_covered(g),
+        "square_stable": is_square_stable(g),
+        "simplicial_graph": is_simplicial_graph(g),
+        "pendant_perfect_matching": has_pendant_perfect_matching(g) is not None,
+    }
+
+
+def test_recognize_flags_match_predicates_on_gallery():
+    # the pendant-matching shortcut decides square stability on some of
+    # these; the predicate always solves alpha of the square
     for name, g in GALLERY.items():
-        fast = recognize(g)
-        slow = recognize(g, cross_check=True)
-        assert (fast.is_ke, fast.is_well_covered, fast.is_very_well_covered,
-                fast.is_square_stable, fast.is_simplicial_graph,
-                fast.has_pendant_pm) == (
-            slow.is_ke, slow.is_well_covered, slow.is_very_well_covered,
-            slow.is_square_stable, slow.is_simplicial_graph,
-            slow.has_pendant_pm), name
+        p = recognize(Graph(g.n, g.edges))
+        assert {k: p[k] for k in FLAGS} == predicate_flags(g), name
 
 
-def test_recognize_cross_check_under_tiny_budgets():
-    # a flag left undecided by the budget is not a route disagreement
-    from squarestable.invariants import SolverBudget
-
+def test_recognize_flags_match_predicates_under_tiny_budgets():
+    # a flag left undecided by the budget is None; every decided one is exact
     for g in [star(2), path(2), path(4), comb(3), cycle(5), net()]:
+        want = predicate_flags(g)
         for nodes in range(1, 25):
-            recognize(g, SolverBudget(max_nodes=nodes), cross_check=True)
+            p = recognize(Graph(g.n, g.edges), SolverBudget(max_nodes=nodes))
+            for k in FLAGS:
+                assert p[k] is None or p[k] == want[k], (g.edges, nodes, k)
 
 
 def test_recognize_budget_exhaustion_flags_fields_none():
-    from squarestable.invariants import SolverBudget
-
     # alpha branches on each cycle of C5 + C5 (7 nodes)
     p = recognize(disjoint_union(cycle(5), cycle(5)), SolverBudget(max_nodes=3, max_seconds=60.0))
-    assert p.is_ke is None
-    assert "budget_exhausted" in p.certificates["alpha"]
+    assert p["ke"] is None
+    assert "budget_exhausted" in p["certificates"]["alpha"]
     # the structural flags never need a budget
-    assert p.is_simplicial_graph is not None
-    assert p.has_pendant_pm is not None
+    assert p["simplicial_graph"] is not None
+    assert p["pendant_perfect_matching"] is not None
 
 
 @settings(max_examples=120, deadline=None)

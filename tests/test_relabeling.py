@@ -18,10 +18,8 @@ def relabeled_pairs(draw, max_n: int = 9) -> tuple[Graph, Graph]:
     return g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _profile(g: Graph) -> tuple:
-    p = recognize(g)
-    return (p.is_ke, p.is_well_covered, p.is_very_well_covered,
-            p.is_square_stable, p.is_simplicial_graph, p.has_pendant_pm)
+def _profile(g: Graph) -> dict:
+    return {k: v for k, v in recognize(g).items() if k != "certificates"}
 
 
 def _summary(g: Graph) -> dict:
