@@ -5,7 +5,9 @@ Subcommands: ``analyze`` (full invariant + recognition records), ``recognize``
 checkers over a family), ``generate`` (emit a family as graph6 lines).
 
 Exit codes: 0 all good; 1 claim violation or control failure; 2 usage,
-parse or unreadable-input error; 3 a solver budget was exhausted somewhere.
+parse or unreadable-input error, or an order-0 graph in an ``analyze`` or
+``recognize`` stream (which outranks 3); 3 a solver budget was exhausted
+somewhere.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import argparse
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .codec import decode_graph6, encode_graph6, graph6_strings, parse_edge_list
 from .graphs import Graph, square
@@ -54,35 +57,43 @@ def _print_json(record: dict) -> None:
     sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _cmd_analyze(args) -> int:
+def _print_records(args, record: Callable[[Graph, SolverBudget], tuple[dict, bool]]) -> int:
+    """Print ``record(g, budget)``, which also says whether the budget sufficed,
+    for each input graph.  The order-0 graph, which theta and the class
+    predicates cannot take, gets an error record instead, and exit 2 outranks 3.
+    """
     budget = _budget_from(args)
-    worst = EXIT_OK
+    empty = exhausted = False
     for g in _input_graphs(args):
-        timing: dict[str, float] = {}
-        try:
-            report = invariant_report(g, budget, timing)
-            t0 = time.perf_counter()
-            profile = recognize(g, budget)
-            timing["recognize"] = round(time.perf_counter() - t0, 6)
-        except BudgetExhausted as exc:
-            _print_json({"graph6": encode_graph6(g), "error": str(exc)})
-            worst = EXIT_BUDGET
+        if g.n == 0:
+            _print_json({"graph6": encode_graph6(g),
+                         "error": "a record needs at least one vertex"})
+            empty = True
             continue
-        _print_json({"graph6": encode_graph6(g), "invariants": report,
-                     "profile": profile, "timing": timing})
-    return worst
+        line, decided = record(g, budget)
+        _print_json(line)
+        exhausted = exhausted or not decided
+    return EXIT_USAGE if empty else EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _cmd_recognize(args) -> int:
-    budget = _budget_from(args)
-    worst = EXIT_OK
-    for g in _input_graphs(args):
+def _analysis(g: Graph, budget: SolverBudget) -> tuple[dict, bool]:
+    timing: dict[str, float] = {}
+    try:
+        report = invariant_report(g, budget, timing)
+        t0 = time.perf_counter()
         profile = recognize(g, budget)
-        if any(profile[k] is None for k in ("ke", "well_covered",
-                                            "very_well_covered", "square_stable")):
-            worst = EXIT_BUDGET
-        _print_json({"graph6": encode_graph6(g), "profile": profile})
-    return worst
+        timing["recognize"] = round(time.perf_counter() - t0, 6)
+    except BudgetExhausted as exc:
+        return {"graph6": encode_graph6(g), "error": str(exc)}, False
+    return {"graph6": encode_graph6(g), "invariants": report,
+            "profile": profile, "timing": timing}, True
+
+
+def _recognition(g: Graph, budget: SolverBudget) -> tuple[dict, bool]:
+    profile = recognize(g, budget)
+    decided = all(profile[k] is not None for k in ("ke", "well_covered",
+                                                   "very_well_covered", "square_stable"))
+    return {"graph6": encode_graph6(g), "profile": profile}, decided
 
 
 def _cmd_square(args) -> int:
@@ -113,8 +124,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import (ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim,
-                          run_negative_controls)
+    from .harness import ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim, run_control
 
     budget = _budget_from(args)
     names: list[str]
@@ -133,12 +143,8 @@ def _cmd_verify(args) -> int:
     # a control scans its own families, never --family
     family = (_family_from_args(args)
               if any(name not in CONTROL_FAMILIES for name in names) else None)
-    verdicts = []
-    for name in names:
-        if name in CONTROL_FAMILIES:
-            verdicts.extend(run_negative_controls(budget, args.jobs, names=[name]))
-        else:
-            verdicts.append(run_claim(name, family, budget, args.jobs))
+    verdicts = [run_control(name, budget, args.jobs) if name in CONTROL_FAMILIES
+                else run_claim(name, family, budget, args.jobs) for name in names]
     for verdict in verdicts:
         _print_json(verdict)
     if not all(verdict["passed"] for verdict in verdicts):
@@ -179,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="emit invariant + recognition records")
     _add_input_options(p)
     _add_budget_options(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=partial(_print_records, record=_analysis))
 
     p = sub.add_parser("recognize", help="emit recognition profiles")
     _add_input_options(p)
     _add_budget_options(p)
-    p.set_defaults(func=_cmd_recognize)
+    p.set_defaults(func=partial(_print_records, record=_recognition))
 
     p = sub.add_parser("square", help="emit the graph6 of each second power")
     _add_input_options(p)

@@ -277,11 +277,3 @@ def is_cycle_of_length(g: Graph, k: int) -> bool:
     return (g.n == k and k >= 3 and is_connected(g)
             and all(g.degree(v) == 2 for v in range(g.n)))
 
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union; vertex ids of later arguments are shifted upward."""
-    masks: list[int] = []
-    for g in graphs:
-        shift = len(masks)
-        masks.extend(m << shift for m in g._masks)
-    return Graph._from_masks(masks)

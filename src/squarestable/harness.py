@@ -484,21 +484,19 @@ def reverify_counterexample(name: str, counterexample: dict,
     return claim.applies(g, budget) and claim.violation(g, budget) is not None
 
 
-def run_negative_controls(
-    budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1,
-    names: Sequence[str] | None = None,
-) -> list[dict]:
-    """Run the planted-false claims; each must be refuted and re-verified.
+def run_control(name: str, budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1) -> dict:
+    """Run one planted-false claim over its own families; it must be refuted
+    and re-verified.
 
-    The returned verdicts invert the usual meaning of ``passed``: a control
-    passes when its claim fails with a counterexample that re-verifies.
+    The verdict inverts the usual meaning of ``passed``: a control passes
+    when its claim fails with a counterexample that re-verifies.
     """
-    out = []
-    for name, fams in CONTROL_FAMILIES.items():
-        if names is not None and name not in names:
-            continue
-        verdict = run_claim(name, fams, budget, jobs)
-        refuted = (not verdict["passed"]
-                   and reverify_counterexample(name, verdict["counterexample"], budget))
-        out.append({**verdict, "passed": refuted})
-    return out
+    verdict = run_claim(name, CONTROL_FAMILIES[name], budget, jobs)
+    refuted = (not verdict["passed"]
+               and reverify_counterexample(name, verdict["counterexample"], budget))
+    return {**verdict, "passed": refuted}
+
+
+def run_negative_controls(budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1) -> list[dict]:
+    """The verdict of every control, in ``CONTROL_FAMILIES`` order."""
+    return [run_control(name, budget, jobs) for name in CONTROL_FAMILIES]

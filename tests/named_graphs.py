@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph
+from squarestable.graphs import Graph
 
 
 def empty_graph(n: int) -> Graph:
@@ -40,6 +40,16 @@ def star(leaves: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union; vertex ids of later arguments are shifted upward."""
+    n = 0
+    edges = []
+    for g in graphs:
+        edges.extend((n + u, n + v) for u, v in g.edges)
+        n += g.n
+    return Graph(n, edges)
 
 
 def corona(g: Graph) -> Graph:
@@ -189,7 +199,7 @@ def diamond_with_pendant() -> Graph:
     return Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4)])
 
 
-#: Gallery keyed by slug, the form the command line and tests consume.
+#: Gallery keyed by slug, the form the tests consume.
 GALLERY: dict[str, Graph] = {
     "paw": paw(),
     "triangle-with-tail": triangle_with_tail(),

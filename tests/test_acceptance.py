@@ -9,6 +9,9 @@ import sys
 import time
 
 import oracles
+from named_graphs import (braced_ladder, c5_with_two_pendants, complete, cycle,
+                          diamond_with_pendant, fused_triangles, path, paw,
+                          star, triangle_with_tail)
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import square
@@ -16,10 +19,6 @@ from squarestable.harness import (ALL_CLAIMS, run_claim, run_negative_controls)
 from squarestable.invariants import (alpha, core_set, count_perfect_matchings,
                                      gamma, ind_dom, mu, omega_family,
                                      simplicial_vertices, theta)
-from squarestable.named_graphs import (braced_ladder, c5_with_two_pendants,
-                                       complete, cycle, diamond_with_pendant,
-                                       fused_triangles, path, paw, star,
-                                       triangle_with_tail)
 from squarestable.recognizers import (is_koenig_egervary, is_square_stable,
                                       is_well_covered)
 

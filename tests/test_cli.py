@@ -1,14 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import squarestable
 import squarestable.invariants as invariants
 from conftest import patch_everywhere
+from named_graphs import (c4_with_two_pendants, cycle, disjoint_union, path,
+                          paw, star)
 from squarestable.cli import cli_main
 from squarestable.codec import decode_graph6, encode_graph6
-from squarestable.graphs import disjoint_union, square
+from squarestable.graphs import square
 from squarestable.invariants import invariant_report
-from squarestable.named_graphs import c4_with_two_pendants, cycle, path, paw, star
 from squarestable.recognizers import recognize
 
 
@@ -270,15 +273,24 @@ def test_control_claim_reads_no_family(tmp_path):
     assert out == run_cli(["verify", "--theorem", name])[1]
 
 
-def test_empty_graph_ends_the_stream_with_exit_2():
-    # the records before the empty graph stay printed; the error goes to stderr
-    for command, message in (("analyze", "theta requires at least one vertex"),
-                             ("recognize", "class predicates are undefined "
-                                           "for the empty graph")):
+def test_empty_graph_gets_an_error_record_and_the_stream_goes_on():
+    # the order-0 graph gets a per-record error line, as an exhausted budget
+    # does, and the lines after it are still read; its exit 2 outranks 3
+    for command in ("analyze", "recognize"):
         code, out, err = run_cli([command], stdin="Bo\n?\nCx\n")
         assert code == 2, command
-        assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["Bo"]
-        assert err == f"error: {message}\n", command
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["graph6"] for r in records] == ["Bo", "?", "Cx"]
+        assert records[1] == {"graph6": "?", "error": "a record needs at least one vertex"}
+        assert err == "", command
+        code, out, _ = run_cli([command, "--budget-nodes", "1"], stdin="Cx\n?\n")
+        assert code == 2, command
+        assert len(out.splitlines()) == 2, command
+    # a malformed line still ends the stream
+    code, out, err = run_cli(["analyze"], stdin="?\nC\nCx\n")
+    assert code == 2
+    assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["?"]
+    assert err.startswith("error: ")
 
 
 def test_analyze_edgelist_huge_order_exit_2(tmp_path):
@@ -337,3 +349,19 @@ def test_input_commands_load_neither_harness_nor_pool():
                                     "--family", "exhaustive:3"])
     assert code == 0
     assert {"squarestable.harness", "squarestable.families"} <= modules
+
+
+def test_every_shipped_module_is_loaded_by_some_command():
+    # a module that no command loads is read only by tests, and lives under
+    # tests/ instead
+    shipped = {"squarestable" if path.stem == "__init__" else f"squarestable.{path.stem}"
+               for path in Path(squarestable.__file__).parent.glob("*.py")}
+    loaded = set()
+    for args, stdin in ((["analyze"], "Bo\nCx\n"), (["recognize"], "Bo\nCx\n"),
+                        (["square"], "Bo\nCx\n"),
+                        (["generate", "--family", "exhaustive:3"], ""),
+                        (["verify", "--theorem", "all", "--family", "exhaustive:3"], "")):
+        code, modules = loaded_modules(args, stdin)
+        assert code == 0, args
+        loaded |= {m for m in modules if m.split(".")[0] == "squarestable"}
+    assert loaded == shipped

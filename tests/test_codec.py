@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, labeled_graphs
+from named_graphs import GALLERY, complete, path
 from squarestable.codec import (Graph6Error, decode_graph6, encode_graph6,
                                 parse_edge_list)
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import Graph
-from squarestable.named_graphs import GALLERY, complete, path
 
 
 def test_reference_values():

@@ -1,10 +1,10 @@
 import pytest
 
+from named_graphs import path
 from squarestable.codec import encode_graph6
 from squarestable.families import (GraphFamily, generate, parse_family_spec,
                                    tree_from_pruefer)
 from squarestable.graphs import is_connected, is_tree
-from squarestable.named_graphs import path
 
 
 def test_exhaustive_counts():

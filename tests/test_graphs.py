@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, labeled_edge_lists, labeled_graphs
+from named_graphs import (complete, complete_bipartite, cycle, disjoint_union,
+                          empty_graph, paw, path)
 from oracles import floyd_warshall_oracle, square_edges_oracle
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.graphs import (Graph, GraphError, adjacency_masks,
                                  components, delete_closed_neighborhood,
-                                 disjoint_union, distances, girth,
-                                 girth_at_least, is_connected,
-                                 is_cycle_of_length, is_tree, memoized,
-                                 pendant_edges, square)
-from squarestable.named_graphs import (complete, complete_bipartite, cycle,
-                                       empty_graph, paw, path)
+                                 distances, girth, girth_at_least,
+                                 is_connected, is_cycle_of_length, is_tree,
+                                 memoized, pendant_edges, square)
 
 
 def test_graph_normalizes():

@@ -4,9 +4,12 @@ import oracles
 import squarestable.harness as harness
 import squarestable.invariants as invariants
 from conftest import labeled_graphs, patch_everywhere
+from named_graphs import (GALLERY, c4_with_two_pendants, comb, complete,
+                          corona, cycle, disjoint_union, double_star,
+                          fused_triangles, path, paw, star)
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import disjoint_union, is_cycle_of_length, square
+from squarestable.graphs import is_cycle_of_length, square
 from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
                                   CONJUNCTS, CONTROL_FAMILIES, PARTS, Claim,
                                   Part, _evaluators,
@@ -17,9 +20,6 @@ from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
 from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
                                     SolverBudget, core_set, gamma, ind_dom,
                                     omega_family, omega_union)
-from squarestable.named_graphs import (GALLERY, c4_with_two_pendants, comb,
-                                       complete, corona, cycle, double_star,
-                                       fused_triangles, path, paw, star)
 from squarestable.recognizers import has_pendant_perfect_matching
 
 SMALL = [GraphFamily.exhaustive(n) for n in range(1, 5)]

@@ -1,14 +1,18 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from conftest import graphs, labeled_graphs
+from named_graphs import (braced_ladder, complete, complete_bipartite, corona,
+                          cycle, diamond_with_pendant, disjoint_union,
+                          empty_graph, path, star)
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import Graph, disjoint_union, induced_subgraph, square
+from squarestable.graphs import Graph, induced_subgraph, square
 from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
                                      BudgetExhausted, SolverBudget, _Meter,
                                      _maximal_stable_masks, _mask_to_set,
@@ -19,10 +23,10 @@ from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
                                      is_stable_set, maximal_cliques, mu,
                                      omega_family, omega_union, simplexes,
                                      simplicial_vertices, theta)
-from squarestable.named_graphs import (braced_ladder, complete,
-                                       complete_bipartite, corona, cycle,
-                                       diamond_with_pendant, empty_graph, path,
-                                       star)
+
+#: Prefix of a ``python -c`` child script: puts this directory, where the
+#: fixture constructions live, on the child's import path.
+_FIXTURES_ON_PATH = f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
 
 
 # -- worked example values ---------------------------------------------------
@@ -226,11 +230,10 @@ def test_theta_deep_inputs_end_within_budget(solver, build, value):
     # greedy bound is tight on the path but not on the C5 after it.  alpha
     # must decide all three: its reduction takes every path vertex without
     # branching, and a cycle after one branch
-    code = (
+    code = _FIXTURES_ON_PATH + (
         "import time\n"
-        "from squarestable.graphs import disjoint_union\n"
+        "from named_graphs import cycle, disjoint_union, path\n"
         f"from squarestable.invariants import BudgetExhausted, SolverBudget, {solver}\n"
-        "from squarestable.named_graphs import cycle, path\n"
         f"g = {build}\n"
         "t = time.monotonic()\n"
         "try:\n"
@@ -310,10 +313,9 @@ def test_ind_dom_deep_inputs_end_within_budget(solver, build):
     # search would raise RecursionError, an unbounded one would hang.  On a
     # path or a cycle the greedy first dive meets the cover bound, so the
     # value ⌈n/3⌉ = 834 is decided; P1500 + C5 may still exhaust the budget
-    code = (
-        "from squarestable.graphs import disjoint_union\n"
+    code = _FIXTURES_ON_PATH + (
+        "from named_graphs import cycle, disjoint_union, path\n"
         f"from squarestable.invariants import BudgetExhausted, SolverBudget, {solver}\n"
-        "from squarestable.named_graphs import cycle, path\n"
         f"g = {build}\n"
         "try:\n"
         f"    print('value', {solver}(g, SolverBudget(max_nodes=200_000, max_seconds=10))[0])\n"
@@ -332,9 +334,9 @@ def test_ind_dom_deep_inputs_end_within_budget(solver, build):
 def test_count_perfect_matchings_deep_inputs_end_within_budget(build):
     # one matched pair per search level, so the search runs 1,250 levels
     # deep: a recursive count raises RecursionError on both
-    code = (
+    code = _FIXTURES_ON_PATH + (
+        "from named_graphs import cycle, path\n"
         "from squarestable.invariants import SolverBudget, count_perfect_matchings\n"
-        "from squarestable.named_graphs import cycle, path\n"
         f"g = {build}\n"
         "print(count_perfect_matchings(g, limit=2,\n"
         "                              budget=SolverBudget(max_nodes=200_000, max_seconds=10)))\n")
@@ -415,11 +417,10 @@ def test_time_cap_holds_when_nodes_are_expensive():
     # builds its 751-clique bound: a node costs tens of milliseconds, so a
     # clock read every 4,096 ticks would let this call run for many times its
     # time cap
-    code = (
+    code = _FIXTURES_ON_PATH + (
         "import time\n"
-        "from squarestable.graphs import disjoint_union\n"
+        "from named_graphs import cycle, disjoint_union\n"
         "from squarestable.invariants import BudgetExhausted, SolverBudget, alpha\n"
-        "from squarestable.named_graphs import cycle\n"
         "g = disjoint_union(*[cycle(5)] * 20, cycle(1501))\n"
         "t = time.monotonic()\n"
         "try:\n"

@@ -1,14 +1,12 @@
+from named_graphs import (GALLERY, braced_ladder, c4_with_two_pendants,
+                          c5_with_two_pendants, clique_chain_11, c4_with_tails,
+                          comb, complete, corona, diamond_with_pendant,
+                          double_star, fused_triangles, k4_with_tail, net,
+                          path, paw, star, sunlet, triangle_with_tail,
+                          twin_triangle_path)
 from squarestable.graphs import square
 from squarestable.invariants import (alpha, core_set, count_perfect_matchings,
                                      mu, omega_family, simplicial_vertices)
-from squarestable.named_graphs import (GALLERY, braced_ladder,
-                                       c4_with_two_pendants,
-                                       c5_with_two_pendants, clique_chain_11,
-                                       c4_with_tails, comb, complete,
-                                       diamond_with_pendant, double_star,
-                                       fused_triangles, k4_with_tail, net,
-                                       path, paw, star, sunlet,
-                                       triangle_with_tail, twin_triangle_path)
 from squarestable.recognizers import (has_pendant_perfect_matching,
                                       is_koenig_egervary, is_square_stable,
                                       is_very_well_covered, is_well_covered)
@@ -99,7 +97,7 @@ def test_corona_family_members():
 
 def test_corona_of_anything_is_square_stable():
     for base in (path(5), complete(4), star(3), c4_with_tails()):
-        g = __import__("squarestable.named_graphs", fromlist=["corona"]).corona(base)
+        g = corona(base)
         assert has_pendant_perfect_matching(g) is not None
         assert is_square_stable(g)
 

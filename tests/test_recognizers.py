@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, labeled_graphs
-from squarestable.graphs import Graph, disjoint_union, distances
+from named_graphs import (GALLERY, c4_with_two_pendants, c5_with_two_pendants,
+                          comb, complete, cycle, diamond_with_pendant,
+                          disjoint_union, empty_graph, net, path, paw, star,
+                          sunlet, triangle_with_tail, twin_triangle_path)
+from squarestable.graphs import Graph, distances
 from squarestable.harness import _distance3_maximum_stable_set_exists
 from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, alpha,
                                      is_matching, mu)
-from squarestable.named_graphs import (GALLERY, c4_with_two_pendants,
-                                       c5_with_two_pendants, comb, complete,
-                                       cycle, diamond_with_pendant,
-                                       empty_graph, net, path, paw, star,
-                                       sunlet, triangle_with_tail,
-                                       twin_triangle_path)
 from squarestable.recognizers import (has_pendant_perfect_matching,
                                       is_koenig_egervary, is_simplicial_graph,
                                       is_square_stable, is_very_well_covered,
