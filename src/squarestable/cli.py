@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from .codec import decode_graph6, encode_graph6, graph6_strings, parse_edge_list
 from .graphs import Graph, square
-from .invariants import BudgetExhausted, SolverBudget, invariant_report
+from .invariants import DEFAULT_BUDGET, BudgetExhausted, SolverBudget, invariant_report
 from .recognizers import recognize
 
 if TYPE_CHECKING:
@@ -77,16 +77,17 @@ def _print_records(args, record: Callable[[Graph, SolverBudget], tuple[dict, boo
 
 
 def _analysis(g: Graph, budget: SolverBudget) -> tuple[dict, bool]:
+    """The invariants, then the ``recognize`` profile and its decided flag."""
     timing: dict[str, float] = {}
     try:
         report = invariant_report(g, budget, timing)
-        t0 = time.perf_counter()
-        profile = recognize(g, budget)
-        timing["recognize"] = round(time.perf_counter() - t0, 6)
     except BudgetExhausted as exc:
         return {"graph6": encode_graph6(g), "error": str(exc)}, False
-    return {"graph6": encode_graph6(g), "invariants": report,
-            "profile": profile, "timing": timing}, True
+    t0 = time.perf_counter()
+    record, decided = _recognition(g, budget)
+    timing["recognize"] = round(time.perf_counter() - t0, 6)
+    return {"graph6": record["graph6"], "invariants": report,
+            "profile": record["profile"], "timing": timing}, decided
 
 
 def _recognition(g: Graph, budget: SolverBudget) -> tuple[dict, bool]:
@@ -124,14 +125,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import ALL_CLAIMS, CLAIMS, CONTROL_FAMILIES, run_claim, run_control
+    from .harness import ALL_CLAIMS, CLAIMS, run_claim, run_control
 
     budget = _budget_from(args)
     names: list[str]
     if args.theorem == "all":
         names = list(CLAIMS)
     elif args.theorem == "controls":
-        names = list(CONTROL_FAMILIES)
+        names = [name for name, claim in ALL_CLAIMS.items() if claim.families]
     elif args.theorem in ALL_CLAIMS:
         names = [args.theorem]
     else:
@@ -142,8 +143,8 @@ def _cmd_verify(args) -> int:
 
     # a control scans its own families, never --family
     family = (_family_from_args(args)
-              if any(name not in CONTROL_FAMILIES for name in names) else None)
-    verdicts = [run_control(name, budget, args.jobs) if name in CONTROL_FAMILIES
+              if any(not ALL_CLAIMS[name].families for name in names) else None)
+    verdicts = [run_control(name, budget, args.jobs) if ALL_CLAIMS[name].families
                 else run_claim(name, family, budget, args.jobs) for name in names]
     for verdict in verdicts:
         _print_json(verdict)
@@ -169,10 +170,10 @@ def _positive_int(text: str) -> int:
 
 
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=10_000_000,
-                   help="search-node cap per solver call")
-    p.add_argument("--budget-seconds", type=float, default=60.0,
-                   help="wall-clock cap per solver call")
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes,
+                   help="search-node cap per solver call (default %(default)s)")
+    p.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET.max_seconds,
+                   help="wall-clock cap per solver call (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,9 +9,9 @@ many were skipped because a solver ran out of budget (a skip is never a
 refutation), and the lexicographically least graph6 counterexample if any
 violation was found.
 
-Negative controls deliberately check false claims; a control passes only when
-its claim is refuted by a concrete, re-verifiable counterexample.  A control
-that comes back green is a harness failure.
+Negative controls deliberately check false claims, each over its own families;
+a control passes only when its claim is refuted by a concrete, re-verifiable
+counterexample.  A control that comes back green is a harness failure.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ from .recognizers import (has_pendant_perfect_matching, is_koenig_egervary,
                           is_simplicial_graph, is_square_stable,
                           is_very_well_covered, is_well_covered,
                           vertex_in_exactly_one_simplex)
-
-
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    description: str
-    applies: Callable[[Graph, SolverBudget], bool]
-    violation: Callable[[Graph, SolverBudget], dict | None]
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +150,6 @@ _TESTS: dict[str, Callable[[dict, dict], bool]] = {
     "ascending": lambda conditions, values: all(x <= y for x, y in pairwise(values.values())),
 }
 
-#: The parts each registered claim was built from.
-PARTS: dict[str, tuple[Part, ...]] = {}
-
-
 def _evaluators(parts: Sequence[Part]):
     """The ``applies`` and ``violation`` of a claim made of ``parts``.
 
@@ -204,9 +192,21 @@ def _evaluators(parts: Sequence[Part]):
     return applies, violation
 
 
-def _claim(name: str, description: str, *parts: Part) -> Claim:
-    PARTS[name] = parts
-    return Claim(name, description, *_evaluators(parts))
+@dataclass(frozen=True)
+class Claim:
+    """The ``parts`` of a claim, the evaluators built from them, and a
+    control's own search space, ``families`` (``()`` for a theorem)."""
+
+    name: str
+    description: str
+    applies: Callable[[Graph, SolverBudget], bool]
+    violation: Callable[[Graph, SolverBudget], dict | None]
+    parts: tuple[Part, ...] = ()
+    families: tuple[GraphFamily, ...] = ()
+
+
+def _claim(name: str, description: str, *parts: Part, families=()) -> Claim:
+    return Claim(name, description, *_evaluators(parts), parts, families)
 
 
 #: α(G²), θ(G²), γ, i, α, θ in the order of the inequality chain.
@@ -353,40 +353,31 @@ CLAIMS: dict[str, Claim] = {c.name: c for c in [
 ]}
 
 
-# negative controls: claims that are deliberately false
-CONTROL_CLAIMS: dict[str, Claim] = {c.name: c for c in [
+# negative controls: claims that are deliberately false, each refuted within
+# its own exhaustive search space
+ALL_CLAIMS: dict[str, Claim] = {**CLAIMS, **{c.name: c for c in [
     _claim("control-well-covered-implies-square-stable",
            "planted-false: well covered would force square stability",
-           Part(("nonempty", "well-covered"), "all", {"square_stable": "square-stable"})),
+           Part(("nonempty", "well-covered"), "all", {"square_stable": "square-stable"}),
+           families=tuple(GraphFamily.exhaustive(n) for n in range(1, 5))),
     _claim("control-unique-perfect-matching-implies-square-stable",
            "planted-false: a unique perfect matching would force square stability",
-           Part(("nonempty", "unique-pm"), "all", {"square_stable": "square-stable"})),
+           Part(("nonempty", "unique-pm"), "all", {"square_stable": "square-stable"}),
+           families=tuple(GraphFamily.exhaustive(n) for n in range(1, 7))),
     _claim("control-unique-square-maximum-implies-square-stable",
            "planted-false: a unique maximum stable set in the square would "
            "force square stability",
-           Part(("nonempty", "unique-square-omega"), "all", {"square_stable": "square-stable"})),
+           Part(("nonempty", "unique-square-omega"), "all", {"square_stable": "square-stable"}),
+           families=tuple(GraphFamily.exhaustive(n) for n in range(1, 7))),
     _claim("control-ke-pendant-count-implies-square-stable",
            "planted-false: Konig-Egervary with alpha pendant edges would force "
            "square stability and very-well-coveredness (drops the perfect "
            "matching requirement)",
            Part(("order>=2", "connected", "ke", "alpha-pendants"), "all",
                 {"square_stable": "square-stable",
-                 "very_well_covered": lambda g, b: is_very_well_covered(g, b)})),
-]}
-
-ALL_CLAIMS: dict[str, Claim] = {**CLAIMS, **CONTROL_CLAIMS}
-
-#: Exhaustive search spaces in which each control must find its refutation.
-CONTROL_FAMILIES: dict[str, tuple[GraphFamily, ...]] = {
-    "control-well-covered-implies-square-stable":
-        tuple(GraphFamily.exhaustive(n) for n in range(1, 5)),
-    "control-unique-perfect-matching-implies-square-stable":
-        tuple(GraphFamily.exhaustive(n) for n in range(1, 7)),
-    "control-unique-square-maximum-implies-square-stable":
-        tuple(GraphFamily.exhaustive(n) for n in range(1, 7)),
-    "control-ke-pendant-count-implies-square-stable":
-        tuple(GraphFamily.exhaustive(n) for n in range(1, 5)),
-}
+                 "very_well_covered": lambda g, b: is_very_well_covered(g, b)}),
+           families=tuple(GraphFamily.exhaustive(n) for n in range(1, 5))),
+]}}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +416,7 @@ def _scan_encoded(args: tuple[str, tuple[str, ...], SolverBudget]):
 
 
 def _merge(results: Iterable[tuple[int, int, int, tuple[str, dict] | None]]):
-    """Sum the counts of ``_scan`` results and keep the least counterexample."""
+    """Sum the counts of pooled ``_scan`` results and keep the least counterexample."""
     seen = checked = skipped = 0
     best: tuple[str, dict] | None = None
     for s, c, k, b in results:
@@ -447,25 +438,22 @@ def run_claim(
     ``verify`` prints."""
     claim = ALL_CLAIMS[name]
     fams = (family,) if isinstance(family, GraphFamily) else tuple(family)
-    if jobs <= 1:
-        seen, checked, skipped, best = _merge(
-            _scan(claim, generate(fam), budget) for fam in fams)
+    graphs = chain.from_iterable(map(generate, fams))
+    # a family of at most one batch would run in one worker anyway: it is
+    # scanned here as generated, and a serial run reads no head at all
+    head = list(islice(graphs, _BATCH_SIZE + 1 if jobs > 1 else 0))
+    graphs = chain(head, graphs)
+    if len(head) <= _BATCH_SIZE:
+        seen, checked, skipped, best = _scan(claim, graphs, budget)
     else:
-        graphs = (g for fam in fams for g in generate(fam))
-        head = list(islice(graphs, _BATCH_SIZE + 1))
-        if len(head) <= _BATCH_SIZE:
-            # one batch runs in one worker anyway: scan it here, fork nothing
-            seen, checked, skipped, best = _scan(claim, head, budget)
-        else:
-            rest = chain(head, graphs)
-            batches = []
-            while chunk := tuple(encode_graph6(g) for g in islice(rest, _BATCH_SIZE)):
-                batches.append((name, chunk, budget))
-            with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-                seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
+        batches = []
+        while chunk := tuple(encode_graph6(g) for g in islice(graphs, _BATCH_SIZE)):
+            batches.append((name, chunk, budget))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
     return {
         "theorem": name,
-        "kind": "control" if name in CONTROL_CLAIMS else "theorem",
+        "kind": "control" if claim.families else "theorem",
         "family": " + ".join(f.describe() for f in fams),
         "graphs_seen": seen,
         "graphs_checked": checked,
@@ -491,12 +479,7 @@ def run_control(name: str, budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1)
     The verdict inverts the usual meaning of ``passed``: a control passes
     when its claim fails with a counterexample that re-verifies.
     """
-    verdict = run_claim(name, CONTROL_FAMILIES[name], budget, jobs)
+    verdict = run_claim(name, ALL_CLAIMS[name].families, budget, jobs)
     refuted = (not verdict["passed"]
                and reverify_counterexample(name, verdict["counterexample"], budget))
     return {**verdict, "passed": refuted}
-
-
-def run_negative_controls(budget: SolverBudget = DEFAULT_BUDGET, jobs: int = 1) -> list[dict]:
-    """The verdict of every control, in ``CONTROL_FAMILIES`` order."""
-    return [run_control(name, budget, jobs) for name in CONTROL_FAMILIES]

@@ -293,6 +293,24 @@ def test_empty_graph_gets_an_error_record_and_the_stream_goes_on():
     assert err.startswith("error: ")
 
 
+def test_budget_exit_matches_the_records(tmp_path, capsys):
+    # analyze and recognize exit 3 exactly when some record has an error or
+    # a null flag; at 10 nodes KOBIosjgQCPs gets a full analyze record whose
+    # well-coveredness is null, and alpha of the square of
+    # OmOXeOsnTDxbOsjPsvrCv runs out below 30 nodes
+    for line in ("KOBIosjgQCPs", "OmOXeOsnTDxbOsjPsvrCv"):
+        src = tmp_path / "one.g6"
+        src.write_text(line + "\n")
+        for command in ("analyze", "recognize"):
+            for nodes in range(1, 201):
+                rc = cli_main([command, "--budget-nodes", str(nodes), "--input", str(src)])
+                records = [json.loads(r) for r in capsys.readouterr().out.splitlines()]
+                undecided = any("error" in r or None in [v for k, v in r["profile"].items()
+                                                         if k != "certificates"]
+                                for r in records)
+                assert rc == (3 if undecided else 0), (line, command, nodes)
+
+
 def test_analyze_edgelist_huge_order_exit_2(tmp_path):
     # an order far past memory must be a parse error, not a MemoryError
     src = tmp_path / "huge.txt"

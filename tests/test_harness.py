@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import oracles
 import squarestable.harness as harness
@@ -11,18 +12,18 @@ from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import is_cycle_of_length, square
 from squarestable.harness import (_BATCH_SIZE, ALL_CLAIMS, CLAIMS,
-                                  CONJUNCTS, CONTROL_FAMILIES, PARTS, Claim,
-                                  Part, _evaluators,
+                                  CONJUNCTS, Claim, Part, _evaluators,
                                   _distance3_maximum_stable_set_exists, _scan,
                                   _square_omega_is_pendant_selections,
                                   reverify_counterexample, run_claim,
-                                  run_negative_controls)
+                                  run_control)
 from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
                                     SolverBudget, core_set, gamma, ind_dom,
                                     omega_family, omega_union)
 from squarestable.recognizers import has_pendant_perfect_matching
 
 SMALL = [GraphFamily.exhaustive(n) for n in range(1, 5)]
+CONTROLS = [name for name, claim in ALL_CLAIMS.items() if claim.families]
 
 
 # -- hypothesis filters, unit-tested on their own ------------------------------
@@ -74,24 +75,45 @@ def test_unique_pm_filter():
 
 def test_registry_names_only_conjuncts_in_the_table():
     used = set()
-    for name, parts in PARTS.items():
-        assert parts, name
-        for part in parts:
+    for name, claim in ALL_CLAIMS.items():
+        assert claim.parts, name
+        for part in claim.parts:
             used.update(part.hypotheses)
             used.update(f for f in {**part.conditions, **part.values}.values()
                         if isinstance(f, str))
     assert used <= set(CONJUNCTS)
     # every conjunct is a hypothesis of some claim
-    assert {h for parts in PARTS.values() for p in parts for h in p.hypotheses} \
+    assert {h for claim in ALL_CLAIMS.values() for p in claim.parts for h in p.hypotheses} \
         == set(CONJUNCTS)
-    assert set(PARTS) == set(ALL_CLAIMS)
+
+
+def test_controls_and_only_controls_carry_families():
+    # a control scans its own nonempty search space; a theorem has none
+    for name, claim in ALL_CLAIMS.items():
+        assert bool(claim.families) == (name not in CLAIMS), name
+    assert list(ALL_CLAIMS) == list(CLAIMS) + CONTROLS and len(CONTROLS) == 4
+
+
+def test_readme_table_states_each_claims_parts():
+    # each row of README's *Checked claims* table names a registered claim
+    # and lists its parts' hypotheses, parts separated by "; "
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Checked claims", 1)[1].split("\n\n| claim |", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        claim, hypotheses = (cell.strip() for cell in line.split("|")[1:3])
+        rows[claim.strip("`")] = hypotheses
+    assert list(rows) == list(CLAIMS)
+    for name, hypotheses in rows.items():
+        assert hypotheses == "; ".join(", ".join(f"`{h}`" for h in part.hypotheses)
+                                       for part in CLAIMS[name].parts), name
 
 
 def test_applies_is_some_part_holding():
     for g in labeled_graphs(5):
         for name, claim in ALL_CLAIMS.items():
             want = any(all(CONJUNCTS[h](g, DEFAULT_BUDGET) for h in part.hypotheses)
-                       for part in PARTS[name])
+                       for part in claim.parts)
             assert claim.applies(g, DEFAULT_BUDGET) == want, (name, encode_graph6(g))
 
 
@@ -227,8 +249,7 @@ def test_counterexample_reverifies_from_graph6():
 
 
 def test_negative_controls_all_refute():
-    verdicts = run_negative_controls()
-    assert len(verdicts) == len(CONTROL_FAMILIES)
+    verdicts = [run_control(name) for name in CONTROLS]
     for v in verdicts:
         assert v["kind"] == "control"
         assert v["passed"], v["theorem"]
@@ -236,7 +257,7 @@ def test_negative_controls_all_refute():
 
 
 def test_control_counterexamples_match_expected_shapes():
-    by_name = {v["theorem"]: v for v in run_negative_controls()}
+    by_name = {name: run_control(name) for name in CONTROLS}
     wc_cex = decode_graph6(
         by_name["control-well-covered-implies-square-stable"]["counterexample"]["graph6"])
     assert is_cycle_of_length(wc_cex, 4)
