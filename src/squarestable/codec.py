@@ -8,6 +8,7 @@ read column by column, packed six bits per byte with an offset of 63.
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator
 
 from .graphs import Graph, _bits, adjacency_masks
@@ -15,6 +16,8 @@ from .graphs import Graph, _bits, adjacency_masks
 _MAX_N = (1 << 36) - 1
 #: Edge-list order cap (graph6's 4-byte maximum): no unbounded allocation.
 _MAX_EDGE_LIST_N = 258047
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 class Graph6Error(ValueError):
@@ -59,10 +62,13 @@ def encode_graph6(g: Graph) -> str:
     masks = adjacency_masks(g)
     bits = "".join([bin(masks[col] & ((1 << col) - 1) | 1 << col)[:2:-1]
                     for col in range(1, n)])
-    pad = -len(bits) % 6
-    value = int(bits or "0", 2) << pad
-    return head + "".join([chr(63 + (value >> shift & 63))
-                           for shift in range(len(bits) + pad - 6, -1, -6)])
+    # base64 packs whole 24-bit groups six bits per character, in linear
+    # time; map its alphabet to chr(63..126) and drop the characters past
+    # the last partial group of six
+    size = len(bits) + -len(bits) % 24
+    data = int(bits.ljust(size, "0") or "0", 2).to_bytes(size // 8, "big")
+    body = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
+    return head + body[:(len(bits) + 5) // 6].decode("ascii")
 
 
 def _decode_order(s: str) -> tuple[int, int]:

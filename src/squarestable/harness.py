@@ -65,7 +65,7 @@ def _distance3_maximum_stable_set_exists(g, budget) -> bool:
     close = tuple(sum(1 << u for u, d in enumerate(row) if d is not None and 0 < d < 3)
                   for row in distances(g))
     target = memoized(g, alpha, budget)[0]
-    meter = _Meter("distance3_maximum_stable_set", budget, g.n)
+    meter = _Meter("distance3_maximum_stable_set", budget)
     return _stable_search(close, (1 << g.n) - 1, meter, target) is not None
 
 

@@ -65,53 +65,22 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 
-#: At most this many ticks pass between two reads of the clock.
-_CLOCK_INTERVAL = 4096
-
-
 class _Meter:
-    """Per-call budget state; every tick counts a node.
+    """Per-call budget state: every tick counts a node and reads the clock,
+    so a call stops at its first node past either cap."""
 
-    The clock is read every ``interval`` ticks.  On a graph of ``order`` at
-    most 64 the first read comes at tick 4,096; a larger graph, whose nodes
-    can cost time quadratic in its order, reads it that much sooner.  After
-    each read the interval is rescaled so that about 1/32 of ``max_seconds``
-    passes between reads (at most doubling, never past 4,096), so a call stops
-    soon after its deadline however much its nodes cost.
-    """
+    __slots__ = ("operation", "max_nodes", "deadline", "nodes")
 
-    __slots__ = ("operation", "max_nodes", "deadline", "nodes", "check_at",
-                 "interval", "slice", "last_read")
-
-    def __init__(self, operation: str, budget: SolverBudget, order: int = 0) -> None:
+    def __init__(self, operation: str, budget: SolverBudget) -> None:
         self.operation = operation
         self.max_nodes = budget.max_nodes
-        self.last_read = time.monotonic()
-        self.deadline = self.last_read + budget.max_seconds
-        self.slice = budget.max_seconds / 32
+        self.deadline = time.monotonic() + budget.max_seconds
         self.nodes = 0
-        self.interval = (_CLOCK_INTERVAL if order <= 64
-                         else max(1, _CLOCK_INTERVAL * 64 * 64 // (order * order)))
-        self.check_at = min(self.interval, self.max_nodes + 1)
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes >= self.check_at:
-            self._check()
-
-    def _check(self) -> None:
-        if self.nodes > self.max_nodes:
+        if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
             raise BudgetExhausted(self.operation, self.nodes)
-        now = time.monotonic()
-        if now > self.deadline:
-            raise BudgetExhausted(self.operation, self.nodes)
-        elapsed = now - self.last_read
-        grown = min(2 * self.interval, _CLOCK_INTERVAL)
-        # clamped before int(): a huge finite max_seconds overflows the ratio
-        self.interval = (max(1, int(min(grown, self.interval * self.slice / elapsed)))
-                         if elapsed > 0 else grown)
-        self.last_read = now
-        self.check_at = min(self.nodes + self.interval, self.max_nodes + 1)
 
 
 def _mask_to_set(mask: int) -> VertexSet:
@@ -249,7 +218,7 @@ def alpha(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexS
     """
     n = g.n
     adj = adjacency_masks(g)
-    meter = _Meter("alpha", budget, n)
+    meter = _Meter("alpha", budget)
     value, known = _stable_search(adj, (1 << n) - 1, meter)
 
     def complete(chosen: int, bit: int, allowed: int) -> int | None:
@@ -320,7 +289,7 @@ def omega_family(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Vertex
         raise ValueError(f"omega_family materializes only up to "
                          f"{OMEGA_ENUMERATION_CAP} vertices, got {g.n}")
     # the maximum stable sets are the maximal ones of the largest size
-    meter = _Meter("omega_family", budget, g.n)
+    meter = _Meter("omega_family", budget)
     masks = list(_maximal_stable_masks(g, meter))
     size = max(m.bit_count() for m in masks)
     fam = [_mask_to_set(m) for m in masks if m.bit_count() == size]
@@ -340,7 +309,7 @@ def core_set(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
     size, known = memoized(g, alpha, budget)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
-    meter = _Meter("core_set", budget, g.n)
+    meter = _Meter("core_set", budget)
     return frozenset(v for v in sorted(known)
                      if _stable_search(adj, full & ~(1 << v), meter, size) is None)
 
@@ -359,7 +328,7 @@ def omega_union(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> VertexSet:
     size, known = memoized(g, alpha, budget)
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
-    meter = _Meter("omega_union", budget, g.n)
+    meter = _Meter("omega_union", budget)
     union = sum(1 << v for v in known)
     rest = full & ~union
     while rest:
@@ -477,7 +446,7 @@ def count_perfect_matchings(g: Graph, limit: int | None = None,
         return 1
     adj = adjacency_masks(g)
     full = (1 << n) - 1
-    meter = _Meter("count_perfect_matchings", budget, n)
+    meter = _Meter("count_perfect_matchings", budget)
     count = 0
     # a node matches the least free vertex to each free neighbor; its children
     # go on the stack least partner on top, so nodes pop in depth-first order
@@ -621,7 +590,7 @@ def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[V
     value, lower = len(cover), _greedy_stable_size(full, adj)
     found = None
     if value > lower:
-        meter = _Meter("theta", budget, n)
+        meter = _Meter("theta", budget)
         ranks = [0] * n
         for v in range(n):
             ranks[adj[v].bit_count()] |= 1 << v
@@ -808,7 +777,7 @@ def _least_dominating_set(g: Graph, budget: SolverBudget,
     closed = [adjm[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     max_cover = max(c.bit_count() for c in closed)
-    meter = _Meter(operation, budget, n)
+    meter = _Meter(operation, budget)
     found = _dominating_search(closed, full, max_cover, stable, meter)
     assert found is not None
     value, known = found
@@ -854,7 +823,7 @@ def maximal_cliques(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> list[Ver
     """All inclusion-maximal cliques (Bron-Kerbosch, pivoting), lexicographic."""
     if g.n < 1:
         raise ValueError("maximal_cliques requires at least one vertex")
-    meter = _Meter("maximal_cliques", budget, g.n)
+    meter = _Meter("maximal_cliques", budget)
     sets = [_mask_to_set(m)
             for m in _bron_kerbosch(adjacency_masks(g), (1 << g.n) - 1, meter)]
     sets.sort(key=sorted)

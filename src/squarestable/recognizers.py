@@ -1,9 +1,8 @@
 """Class-membership tests with certificates.
 
-Each predicate follows its defining formula.  The one structural shortcut,
-a pendant perfect matching (which forces square stability), is exposed as
-its own predicate so the claim harness can check the implication instead of
-trusting it.
+Each predicate follows its defining formula.  A pendant perfect matching
+forces square stability by a theorem of the paper; it is its own predicate,
+so the claim harness checks that implication, and no flag here trusts it.
 
 The predicates read α(G), μ(G), the square, α(G²) and well-coveredness
 through the graph's memo (:func:`~squarestable.graphs.memoized`), so values
@@ -12,9 +11,9 @@ predicate, say) are not solved again.  A memoized value is computed from its
 definition, so reading it does not trust any other class test.
 
 ``recognize`` bundles the flags for one graph.  It computes the cheap
-structural facts first and skips the square's solve when a pendant perfect
-matching already decides square stability; otherwise ``is_square_stable``
-decides it.  The tests compare every flag with its predicate below.
+structural facts first, then reads each solver-backed flag from its
+predicate; ``is_square_stable`` decides square stability on every graph.
+The tests compare every flag with its predicate below.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def is_well_covered(
     particular smaller than the stability number).
     """
     _require_vertices(g)
-    meter = _Meter("is_well_covered", budget, g.n)
+    meter = _Meter("is_well_covered", budget)
     first = None
     for m in _maximal_stable_masks(g, meter):
         if first is None:
@@ -107,9 +106,6 @@ def vertex_in_exactly_one_simplex(g: Graph) -> bool:
     return all(c == 1 for c in count)
 
 
-_EXHAUSTED = object()
-
-
 def recognize(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> dict:
     """The ``"profile"`` record of ``recognize`` and ``analyze``: all six
     class flags, then their certificates.
@@ -134,13 +130,13 @@ def recognize(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> dict:
             return thunk()
         except BudgetExhausted as exc:
             certificates[name] = {"budget_exhausted": exc.nodes_used}
-            return _EXHAUSTED
+            return None
 
     a = run("alpha", lambda: memoized(g, alpha, budget))
     m_val, m_set = memoized(g, mu)
 
     ke: bool | None = None
-    if a is not _EXHAUSTED:
+    if a is not None:
         ke = a[0] + m_val == g.n
         certificates["ke"] = {
             "alpha": a[0], "mu": m_val, "order": g.n,
@@ -150,10 +146,10 @@ def recognize(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> dict:
 
     wc: bool | None = None
     wc_pair = run("well_covered", lambda: memoized(g, is_well_covered, budget))
-    if wc_pair is not _EXHAUSTED:
+    if wc_pair is not None:
         wc, wc_cert = wc_pair
         certificates["well_covered"] = (
-            {"alpha": a[0]} if wc and a is not _EXHAUSTED
+            {"alpha": a[0]} if wc and a is not None
             else {} if wc
             else {"small_maximal_stable_set": sorted(wc_cert)})
 
@@ -161,30 +157,21 @@ def recognize(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> dict:
     isolated_free = all(g.degree(v) > 0 for v in range(g.n))
     if wc is False or not isolated_free:
         vwc = False
-    elif wc is True and a is not _EXHAUSTED:
+    elif wc is True and a is not None:
         vwc = g.n == 2 * a[0]
     if vwc is not None:
         certificates["very_well_covered"] = {
             "well_covered": wc, "isolated_free": isolated_free, "order": g.n,
-            "alpha": a[0] if a is not _EXHAUSTED else None,
+            "alpha": a[0] if a is not None else None,
         }
 
-    ss: bool | None = None
-    if pm is not None:
-        # a pendant perfect matching forces square stability; one pendant
-        # endpoint per matched edge is the distance-3 certificate
-        ss = True
-        one_per_edge = sorted(min(e, key=lambda v: (g.degree(v), v)) for e in pm)
-        certificates["square_stable"] = {"distance3_stable_set": one_per_edge}
-    else:
-        flag = run("square_stable", lambda: is_square_stable(g, budget))
-        if flag is not _EXHAUSTED:
-            ss = flag
-            # a stable set of the square is pairwise at distance >= 3 in g
-            certificates["square_stable"] = (
-                {"distance3_stable_set": sorted(
-                    memoized(memoized(g, square), alpha, budget)[1])} if ss
-                else {"alpha": a[0] if a is not _EXHAUSTED else None})
+    ss = run("square_stable", lambda: is_square_stable(g, budget))
+    if ss is not None:
+        # a stable set of the square is pairwise at distance >= 3 in g
+        certificates["square_stable"] = (
+            {"distance3_stable_set": sorted(
+                memoized(memoized(g, square), alpha, budget)[1])} if ss
+            else {"alpha": a[0] if a is not None else None})
 
     return {
         "ke": ke,

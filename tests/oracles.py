@@ -295,7 +295,7 @@ def alpha_bounded_reference(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
     found is the lexicographically least.  Recursive, so keep the inputs
     small."""
     adj = adjacency_masks(g)
-    meter = _Meter("alpha", budget, g.n)
+    meter = _Meter("alpha", budget)
     best_size = -1
     best_mask = 0
 
@@ -343,7 +343,7 @@ def theta_bounded_reference(g: Graph, budget: SolverBudget = DEFAULT_BUDGET
     best_count = len(greedy)
     best_cover = greedy
     if best_count > lower:
-        meter = _Meter("theta", budget, n)
+        meter = _Meter("theta", budget)
         classes: list[int] = []
         common = []
 

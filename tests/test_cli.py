@@ -244,7 +244,7 @@ def test_analyze_edgelist_error_exit_2():
 
 
 def test_non_finite_budget_seconds_exit_2(tmp_path, capsys):
-    # the solvers pass 4,096 nodes on this graph, where the clock is first read
+    # a cap that is not finite is rejected before any solver runs on this graph
     src = tmp_path / "big.g6"
     src.write_text(encode_graph6(disjoint_union(path(300), cycle(5))) + "\n")
     for value in ("inf", "nan"):

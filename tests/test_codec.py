@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, labeled_graphs
-from named_graphs import GALLERY, complete, path
+from named_graphs import GALLERY, complete, cycle, path
 from squarestable.codec import (Graph6Error, decode_graph6, encode_graph6,
                                 parse_edge_list)
 from squarestable.families import GraphFamily, generate
@@ -42,6 +44,16 @@ def test_large_order_round_trip():
     s = encode_graph6(g)
     assert s.startswith("~")
     assert decode_graph6(s) == g
+
+
+def test_long_path_and_cycle_encode_in_linear_time():
+    # about three million vertex pairs each: an encoder that reshifts the
+    # whole bit string once per output byte takes tens of seconds here
+    for g in (path(2500), cycle(2501)):
+        t = time.perf_counter()
+        s = encode_graph6(g)
+        assert time.perf_counter() - t < 2.0, g.n
+        assert decode_graph6(s) == g
 
 
 def test_decode_errors_carry_offsets():

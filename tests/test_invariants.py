@@ -414,9 +414,8 @@ def test_budget_exhaustion_is_explicit():
 def test_time_cap_holds_when_nodes_are_expensive():
     # alpha branches on each of the twenty C5s, whose clique bound (3) is
     # above their stability number (2), while every node scans the C1501 and
-    # builds its 751-clique bound: a node costs tens of milliseconds, so a
-    # clock read every 4,096 ticks would let this call run for many times its
-    # time cap
+    # builds its 751-clique bound: a node costs tens of milliseconds, so the
+    # call must stop at its first node past the deadline, not many nodes later
     code = _FIXTURES_ON_PATH + (
         "import time\n"
         "from named_graphs import cycle, disjoint_union\n"
@@ -437,16 +436,28 @@ def test_time_cap_holds_when_nodes_are_expensive():
     assert float(seconds) < 4.0, proc.stdout
 
 
-def test_small_graph_call_reads_the_clock_once(monkeypatch):
-    # the meter reads the clock when it starts and, on a graph of at most 64
-    # vertices, not again before tick 4,096
+def test_clock_past_the_deadline_stops_the_next_tick(monkeypatch):
     from squarestable import invariants
 
-    reads = []
-    clock = invariants.time.monotonic
-    monkeypatch.setattr(invariants.time, "monotonic", lambda: reads.append(1) or clock())
-    gamma(cycle(9))
-    assert len(reads) == 1
+    now = [0.0]
+    monkeypatch.setattr(invariants.time, "monotonic", lambda: now[0])
+    meter = _Meter("clock", SolverBudget(max_seconds=5))
+    for _ in range(100):
+        meter.tick()
+    now[0] = 5.001
+    with pytest.raises(BudgetExhausted) as err:
+        meter.tick()
+    assert err.value.nodes_used == 101
+
+
+def test_node_cap_stops_at_the_tick_past_it():
+    for cap in range(1, 51):
+        meter = _Meter("nodes", SolverBudget(max_nodes=cap))
+        for _ in range(cap):
+            meter.tick()
+        with pytest.raises(BudgetExhausted) as err:
+            meter.tick()
+        assert err.value.nodes_used == cap + 1
 
 
 def test_budget_must_be_positive():
@@ -462,9 +473,8 @@ def test_budget_must_be_finite():
             SolverBudget(max_seconds=value)
         with pytest.raises(ValueError, match="finite"):
             SolverBudget(max_nodes=value)
-    # a huge finite cap is accepted, and rescaling the clock interval past
-    # the first read must not overflow
-    meter = _Meter("huge", SolverBudget(max_seconds=1e308), order=305)
+    # a huge finite cap is accepted, and its deadline does not overflow
+    meter = _Meter("huge", SolverBudget(max_seconds=1e308))
     for _ in range(10_000):
         meter.tick()
 
@@ -513,7 +523,7 @@ def test_report_internal_consistency(g):
 def test_maximal_stable_sets_exact_and_ordered(g):
     # the stream is_well_covered reads, unordered: each maximal stable set
     # exactly once, so in lexicographic order it is the oracle's list
-    meter = _Meter("maximal_stable_masks", DEFAULT_BUDGET, g.n)
+    meter = _Meter("maximal_stable_masks", DEFAULT_BUDGET)
     got = [_mask_to_set(m) for m in _maximal_stable_masks(g, meter)]
     assert len(got) == len(set(got))
     assert sorted(got, key=sorted) == sorted(oracles.maximal_stable_sets_oracle(g), key=sorted)

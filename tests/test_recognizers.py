@@ -9,10 +9,13 @@ from named_graphs import (GALLERY, c4_with_two_pendants, c5_with_two_pendants,
                           comb, complete, cycle, diamond_with_pendant,
                           disjoint_union, empty_graph, net, path, paw, star,
                           sunlet, triangle_with_tail, twin_triangle_path)
+from squarestable.codec import decode_graph6
 from squarestable.graphs import Graph, distances
 from squarestable.harness import _distance3_maximum_stable_set_exists
-from squarestable.invariants import (DEFAULT_BUDGET, SolverBudget, alpha,
-                                     is_matching, mu)
+from squarestable.invariants import (DEFAULT_BUDGET, BudgetExhausted,
+                                     SolverBudget, alpha, core_set, gamma,
+                                     ind_dom, is_matching, mu, omega_union,
+                                     theta)
 from squarestable.recognizers import (has_pendant_perfect_matching,
                                       is_koenig_egervary, is_simplicial_graph,
                                       is_square_stable, is_very_well_covered,
@@ -64,8 +67,8 @@ def test_square_stable_examples():
 
 
 def test_distance3_maximum_stable_set_examples():
-    # recognize's square-stability certificate: one pendant end per matched
-    # edge of P4, and the square's alpha witness on K5
+    # recognize's square-stability certificate is the square's alpha
+    # witness: the pendant ends of P4, and one vertex of K5
     cert = recognize(path(4))["certificates"]["square_stable"]
     assert cert == {"distance3_stable_set": [0, 3]}
     c4 = recognize(cycle(4))
@@ -76,9 +79,10 @@ def test_distance3_maximum_stable_set_examples():
 
 
 def test_square_stable_certificate_is_a_distance3_maximum_stable_set():
-    # every labeled graph up to 6 vertices; both certificate routes occur:
-    # the pendant ends of a pendant perfect matching, and alpha of the square
-    routes = Counter()
+    # every labeled graph up to 6 vertices, with and without a pendant
+    # perfect matching; with one, the square's alpha witness is its lexically
+    # least selection: one pendant end per matched edge
+    kinds = Counter()
     for g in labeled_graphs(6):
         if g.n == 0:
             continue
@@ -89,8 +93,11 @@ def test_square_stable_certificate_is_a_distance3_maximum_stable_set():
         s = p["certificates"]["square_stable"]["distance3_stable_set"]
         assert len(set(s)) == len(s) == a, g.edges
         assert all(d[u][v] is None or d[u][v] >= 3 for u, v in combinations(s, 2)), g.edges
-        routes["pendant" if p["pendant_perfect_matching"] else "square alpha"] += 1
-    assert routes["pendant"] > 100 and routes["square alpha"] > 1000, routes
+        pm = has_pendant_perfect_matching(g)
+        if pm is not None:
+            assert s == sorted(min(e, key=lambda v: (g.degree(v), v)) for e in pm), g.edges
+        kinds["other" if pm is None else "pendant-pm"] += 1
+    assert kinds["pendant-pm"] > 100 and kinds["other"] > 1000, kinds
 
 
 def test_pendant_perfect_matching_examples():
@@ -166,8 +173,8 @@ def predicate_flags(g: Graph) -> dict:
 
 
 def test_recognize_flags_match_predicates_on_gallery():
-    # the pendant-matching shortcut decides square stability on some of
-    # these; the predicate always solves alpha of the square
+    # some of these have a pendant perfect matching; recognize and the
+    # predicate solve alpha of the square on every one
     for name, g in GALLERY.items():
         p = recognize(Graph(g.n, g.edges))
         assert {k: p[k] for k in FLAGS} == predicate_flags(g), name
@@ -181,6 +188,33 @@ def test_recognize_flags_match_predicates_under_tiny_budgets():
             p = recognize(Graph(g.n, g.edges), SolverBudget(max_nodes=nodes))
             for k in FLAGS:
                 assert p[k] is None or p[k] == want[k], (g.edges, nodes, k)
+
+
+def test_larger_budget_never_undoes_a_decision():
+    # under node budgets 1..200 each solver and each recognize flag is
+    # undecided up to some budget, then decided from there on, always with
+    # the value and witness of the default budget
+    solvers = (alpha, theta, gamma, ind_dom, core_set, omega_union, is_well_covered)
+    sources = [decode_graph6("KOBIosjgQCPs"), decode_graph6("OmOXeOsnTDxbOsjPsvrCv"),
+               *(GALLERY[name] for name in ("clique-chain-11", "twin-triangle-path",
+                                            "braced-ladder", "sunlet-4"))]
+
+    def attempt(f, g, nodes):
+        try:
+            return f(Graph(g.n, g.edges), SolverBudget(max_nodes=nodes))
+        except BudgetExhausted:
+            return None
+
+    budgets = range(1, 201)
+    for g in sources:
+        runs = {f.__name__: (f(Graph(g.n, g.edges)), [attempt(f, g, b) for b in budgets])
+                for f in solvers}
+        profiles = [recognize(Graph(g.n, g.edges), SolverBudget(max_nodes=b)) for b in budgets]
+        full = recognize(Graph(g.n, g.edges))
+        runs.update({k: (full[k], [p[k] for p in profiles]) for k in FLAGS})
+        for name, (want, got) in runs.items():
+            undecided = got.index(want)
+            assert got == [None] * undecided + [want] * (len(got) - undecided), (g.edges, name)
 
 
 def test_recognize_budget_exhaustion_flags_fields_none():
