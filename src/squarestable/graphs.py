@@ -4,7 +4,8 @@ Vertices are dense integer ids ``0 .. n-1``.  A :class:`Graph` is a value:
 equality and hashing go through ``(n, adjacency masks)``, and every derived
 object (square, induced subgraph, component) is a fresh value built from masks,
 so graphs can be shared freely across threads and cached without defensive
-copies.  The masks are the only stored representation; queries run on them.
+copies.  The masks are the only stored representation; queries run on them,
+and the distance queries on one breadth-first layer walk, :func:`_layers`.
 """
 
 from __future__ import annotations
@@ -120,16 +121,23 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _layers(masks: tuple[int, ...], seed: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers from ``seed`` inside ``within``, as masks, nearest first."""
+    seen = layer = rest = seed
+    while layer:
+        yield layer
+        step = 0
+        while rest:  # inline, not _bits: every walk runs this loop
+            low = rest & -rest
+            step |= masks[low.bit_length() - 1]
+            rest ^= low
+        layer = rest = step & within & ~seen
+        seen |= layer
+
+
 def _reach(masks: tuple[int, ...], seed: int) -> int:
     """Mask of every vertex joined by a path to some vertex of ``seed``."""
-    seen = frontier = seed
-    while frontier:
-        step = 0
-        for v in _bits(frontier):
-            step |= masks[v]
-        frontier = step & ~seen
-        seen |= frontier
-    return seen
+    return sum(_layers(masks, seed))  # the layers are disjoint
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
@@ -142,23 +150,12 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
 
 def distances(g: Graph) -> list[list[int | None]]:
     """All-pairs BFS distances in edges; ``None`` for unreachable pairs."""
-    n = g.n
-    masks = g._masks
-    out = []
-    for s in range(n):
-        row: list[int | None] = [None] * n
-        seen = frontier = 1 << s
-        d = 0
-        while frontier:
-            step = 0
-            for v in _bits(frontier):
+    rows: list[list[int | None]] = [[None] * g.n for _ in range(g.n)]
+    for s, row in enumerate(rows):
+        for d, layer in enumerate(_layers(g._masks, 1 << s)):
+            for v in _bits(layer):
                 row[v] = d
-                step |= masks[v]
-            d += 1
-            frontier = step & ~seen
-            seen |= frontier
-        out.append(row)
-    return out
+    return rows
 
 
 def square(g: Graph) -> Graph:
@@ -189,35 +186,42 @@ def pendant_edges(g: Graph) -> frozenset[Edge]:
 
 
 def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or ``None`` when the graph is acyclic.
+    """Length of a shortest cycle, or ``None`` when the graph is acyclic (a
+    sentinel, so that threshold tests spell out how forests compare).
 
-    The acyclic case is an explicit sentinel rather than a large number so
-    that threshold tests spell out how forests are meant to compare.
+    Itai and Rodeh's test (SIAM J. Comput. 7(4), 1978) on the breadth-first
+    layers from a root: a vertex of layer d with two neighbors in layer d - 1
+    closes a cycle of at most 2d edges, an edge inside it one of at most
+    2d + 1, and a shortest cycle through the root is found exactly.  A vertex
+    of degree at most one lies on no cycle, nor a walked root on one shorter
+    than its walk found; peeling both keeps girth near-linear on sparse input.
     """
     masks = g._masks
+    live = (1 << g.n) - 1
+    doomed = [v for v, m in enumerate(masks) if m.bit_count() <= 1]
     best: int | None = None
-    for u, m in enumerate(masks):
-        later = m >> u + 1 << u + 1  # the neighbors v > u
-        while later:
-            # shortest cycle through uv = dist(u, v) in G - uv, plus the edge;
-            # BFS layers from u stop once they cannot beat the best cycle
-            target = later & -later  # bit v
-            later ^= target
-            seen = frontier = 1 << u
-            d = 0
-            while frontier and (best is None or d + 2 < best):
-                step = 0
-                for x in _bits(frontier):
-                    step |= masks[x]
-                if d == 0:
-                    step &= ~target
-                d += 1
-                if step & target:
-                    best = d + 1
+    while True:
+        while doomed:  # peel to the 2-core; each vertex is queued once, at degree <= 1
+            v = doomed.pop()
+            live ^= 1 << v
+            for u in _bits(masks[v] & live):
+                if (masks[u] & live).bit_count() == 1:
+                    doomed.append(u)
+        if not live:
+            return best
+        root = live & -live
+        above = 0  # the layer before
+        for d, layer in enumerate(_layers(masks, root, live)):
+            for v in _bits(layer):
+                if (masks[v] & above).bit_count() > 1:
+                    best = 2 * d
                     break
-                frontier = step & ~seen
-                seen |= frontier
-    return best
+                if masks[v] & layer:
+                    best = 2 * d + 1
+            if best is not None and 2 * d + 2 >= best:
+                break  # the next layer closes no shorter cycle
+            above = layer
+        doomed.append(root.bit_length() - 1)
 
 
 def girth_at_least(g: Graph, k: int) -> bool:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph, VertexSet, _bits, adjacency_masks, memoized
+from .graphs import Graph, VertexSet, _bits, _reach, adjacency_masks, memoized
 from .graphs import girth as _girth
 
 Matching = frozenset[tuple[int, int]]
@@ -768,29 +768,38 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
 def _least_dominating_set(g: Graph, budget: SolverBudget,
                           stable: bool) -> tuple[int, VertexSet]:
     """Smallest dominating set (with ``stable``, smallest maximal stable set)
-    that is lexicographically least, found by :func:`_dominating_search`."""
+    that is lexicographically least, found by :func:`_dominating_search`.
+
+    Each component is solved apart, under the call's one budget: a set
+    dominates the graph exactly when it dominates every component, so the
+    values add, and the union of the components' least sets is the least set.
+    """
     operation = "ind_dom" if stable else "gamma"
     if g.n < 1:
         raise ValueError(f"{operation} requires at least one vertex")
-    n = g.n
     adjm = adjacency_masks(g)
-    closed = [adjm[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    max_cover = max(c.bit_count() for c in closed)
+    closed = [adjm[v] | (1 << v) for v in range(g.n)]
     meter = _Meter(operation, budget)
-    found = _dominating_search(closed, full, max_cover, stable, meter)
-    assert found is not None
-    value, known = found
+    value = witness = 0
+    rest = (1 << g.n) - 1
+    while rest:
+        full = _reach(adjm, rest & -rest)
+        rest &= ~full
+        max_cover = max(closed[v].bit_count() for v in _bits(full))
+        found = _dominating_search(closed, full, max_cover, stable, meter)
+        assert found is not None
+        size, known = found
 
-    def complete(chosen: int, bit: int, allowed: int) -> int | None:
-        found = _dominating_search(closed, full, max_cover, stable, meter,
-                                   forced=chosen | bit, candidates_from=bit.bit_length(),
-                                   stop_at=value)
-        return found[1] if found is not None and found[0] <= value else None
+        def complete(chosen: int, bit: int, allowed: int) -> int | None:
+            found = _dominating_search(closed, full, max_cover, stable, meter,
+                                       forced=chosen | bit, candidates_from=bit.bit_length(),
+                                       stop_at=size)
+            return found[1] if found is not None and found[0] <= size else None
 
-    # with ``stable``, a vertex adjacent to a member cannot join the set
-    return value, _mask_to_set(_fix_least(value, known, full, closed if stable else None,
-                                          complete))
+        # with ``stable``, a vertex adjacent to a member cannot join the set
+        witness |= _fix_least(size, known, full, closed if stable else None, complete)
+        value += size
+    return value, _mask_to_set(witness)
 
 
 def gamma(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, VertexSet]:

@@ -1,15 +1,19 @@
 import copy
 import pickle
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, labeled_edge_lists, labeled_graphs
-from named_graphs import (complete, complete_bipartite, cycle, disjoint_union,
-                          empty_graph, paw, path)
+from named_graphs import (complete, complete_bipartite, corona, cycle,
+                          disjoint_union, empty_graph, paw, path)
 from oracles import floyd_warshall_oracle, square_edges_oracle
 from squarestable.codec import decode_graph6, encode_graph6
+from squarestable.families import GraphFamily, generate
 from squarestable.graphs import (Graph, GraphError, adjacency_masks,
                                  components, delete_closed_neighborhood,
                                  distances, girth, girth_at_least,
@@ -298,11 +302,51 @@ def test_distances_match_floyd_warshall_exhaustively():
         assert got == [[None if x == float("inf") else x for x in row] for row in want]
 
 
+def _girth_matches_networkx(networkx, g):
+    ref = networkx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    want = networkx.girth(ref)
+    assert girth(g) == (None if want == float("inf") else want), g
+
+
 def test_girth_matches_networkx_exhaustively():
     networkx = pytest.importorskip("networkx")
     for g in labeled_graphs(6):
-        ref = networkx.Graph()
-        ref.add_nodes_from(range(g.n))
-        ref.add_edges_from(g.edges)
-        want = networkx.girth(ref)
-        assert girth(g) == (None if want == float("inf") else want)
+        _girth_matches_networkx(networkx, g)
+
+
+@pytest.mark.parametrize("family", [
+    # sparse G(n, p), mean degree 1 to 2.5: trees hung on a few cycles, so
+    # the peel and the walks after the first root both have work to do
+    [g for n in range(7, 41, 3) for k, c in enumerate((1.0, 1.5, 2.0, 2.5))
+     for g in generate(GraphFamily.gnp(n, c / n, 10, seed=4 * n + k))],
+    # trees: the peel leaves nothing, so no root is walked
+    [g for n in range(7, 41, 3) for g in generate(GraphFamily.random_trees(n, 4, seed=n))],
+    # coronas: every pendant vertex is peeled, then the core is walked
+    [corona(h) for k in range(3, 16, 2) for h in generate(GraphFamily.gnp(k, 0.3, 4, seed=k))],
+], ids=["sparse-gnp", "trees", "coronas"])
+def test_girth_matches_networkx_on_families(family):
+    networkx = pytest.importorskip("networkx")
+    for g in family:
+        _girth_matches_networkx(networkx, g)
+
+
+def test_girth_is_near_linear_on_long_paths_and_cycles():
+    # one interpreter under a 5 s limit for all four, which a BFS per edge
+    # needs about 10 s for.  The relabelings scatter the path and the cycle
+    # over the ids, so the peel cannot lean on id order
+    code = (f"import random, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from named_graphs import cycle, disjoint_union, path\n"
+            "from squarestable.graphs import Graph, girth\n"
+            "def relabeled(g, seed):\n"
+            "    ids = list(range(g.n))\n"
+            "    random.Random(seed).shuffle(ids)\n"
+            "    return Graph(g.n, [(ids[u], ids[v]) for u, v in g.edges])\n"
+            "print([girth(g) for g in (relabeled(path(2500), 1), relabeled(cycle(2501), 2),\n"
+            "                          disjoint_union(path(1500), cycle(5)),\n"
+            "                          disjoint_union(cycle(1501), *[cycle(5)] * 20))])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[None, 2501, 5, 5]", proc.stdout
