@@ -207,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the family to connected graphs")
     p.add_argument("--seed", type=int, default=0, help="seed for random families")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for the family scan")
+                   help="worker processes for the family scan; no more start "
+                        "than there are batches of 256 graphs or CPUs this "
+                        "process may use")
     _add_budget_options(p)
     p.set_defaults(func=_cmd_verify)
 

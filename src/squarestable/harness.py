@@ -16,6 +16,7 @@ counterexample.  A control that comes back green is a harness failure.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
@@ -389,6 +390,13 @@ ALL_CLAIMS: dict[str, Claim] = {**CLAIMS, **{c.name: c for c in [
 _BATCH_SIZE = 256
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the most workers worth starting."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _scan(claim: Claim, graphs: Iterable[Graph], budget: SolverBudget):
     seen = checked = skipped = 0
     best: tuple[str, dict] | None = None
@@ -449,7 +457,8 @@ def run_claim(
         batches = []
         while chunk := tuple(encode_graph6(g) for g in islice(graphs, _BATCH_SIZE)):
             batches.append((name, chunk, budget))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(batches), _usable_cpus())) as pool:
             seen, checked, skipped, best = _merge(pool.map(_scan_encoded, batches))
     return {
         "theorem": name,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, VertexSet, _bits, _reach, adjacency_masks, memoized
@@ -95,17 +95,30 @@ def _first_fit_cliques(cand: int, adj: tuple[int, ...], most: int = -1) -> list[
     """Clique cover of ``cand``: each vertex in id order joins the first
     clique whose members are all its neighbors, else starts one.  Its size
     bounds how many further stable vertices the candidates can contribute.
-    With ``most``, stop as soon as the cover holds more than that many."""
+    With ``most``, stop as soon as the cover holds more than that many.
+
+    A clique that can take v holds its opener, its least member, among v's
+    neighbors, and cliques open in id order; so v tries only the cliques its
+    neighbors opened, least opener first, and the pass is near-linear in the
+    edges."""
     cliques: list[int] = []
+    index: dict[int, int] = {}  # clique index by its opener's bit
+    openers = 0
     while cand:
         bit = cand & -cand
         cand ^= bit
         nbr = adj[bit.bit_length() - 1]
-        for i, c in enumerate(cliques):
-            if nbr & c == c:
-                cliques[i] = c | bit
+        rest = nbr & openers
+        while rest:
+            low = rest & -rest
+            i = index[low]
+            if nbr & cliques[i] == cliques[i]:
+                cliques[i] |= bit
                 break
+            rest ^= low
         else:
+            index[bit] = len(cliques)
+            openers |= bit
             cliques.append(bit)
             if len(cliques) == most + 1:
                 break
@@ -349,13 +362,16 @@ def mu(g: Graph) -> tuple[int, Matching]:
     """Maximum matching via augmenting-path search with blossom contraction.
 
     Polynomial, so no budget applies; the witness is deterministic under the
-    fixed ascending scan order.
+    fixed ascending scan order.  Each search resets only the vertices it
+    queued or labeled, so a root whose search stays small costs little on a
+    large graph.
     """
     n = g.n
     adj = [list(_bits(m)) for m in adjacency_masks(g)]
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
+    queued = [False] * n
 
     # greedy seed cuts the number of augmenting phases roughly in half
     for v in range(n):
@@ -387,13 +403,12 @@ def mu(g: Graph) -> tuple[int, Matching]:
             child = match[v]
             v = parent[match[v]]
 
-    def try_augment(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = [root]
+    def try_augment(root: int, queue: list[int], labeled: list[int]) -> bool:
+        """Search from ``root``, the one vertex in ``queue``.  The search
+        appends each vertex it queues to ``queue`` and each vertex it labels
+        with a parent to ``labeled``; only those vertices' state changes
+        (a blossom's vertices are all queued)."""
+        queued[root] = True
         head = 0
         while head < len(queue):
             v = queue[head]
@@ -410,11 +425,12 @@ def mu(g: Graph) -> tuple[int, Matching]:
                     for i in range(n):
                         if in_blossom[base[i]]:
                             base[i] = stem
-                            if not used[i]:
-                                used[i] = True
+                            if not queued[i]:
+                                queued[i] = True
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    labeled.append(to)
                     if match[to] == -1:
                         # augment along the alternating path back to the root
                         u = to
@@ -424,13 +440,19 @@ def mu(g: Graph) -> tuple[int, Matching]:
                             match[u], match[pv] = pv, u
                             u = next_u
                         return True
-                    used[match[to]] = True
+                    queued[match[to]] = True
                     queue.append(match[to])
         return False
 
     for v in range(n):
         if match[v] == -1 and adj[v]:
-            try_augment(v)
+            queue: list[int] = [v]
+            labeled: list[int] = []
+            try_augment(v, queue, labeled)
+            for i in chain(queue, labeled):
+                parent[i] = -1
+                base[i] = i
+                queued[i] = False
 
     edges = frozenset((v, match[v]) for v in range(n) if match[v] > v)
     return len(edges), edges

@@ -13,7 +13,11 @@ same ascending-id search with the bounds, as it ran before the DSATUR value
 search, :func:`ind_dom_enumeration`, independent domination by listing every
 maximal stable set, and :func:`least_dominating_set_reference`,
 the domination search for gamma and ind_dom as it ran before it took the
-set-cover rules (least undominated vertex, every candidate, least id first).
+set-cover rules (least undominated vertex, every candidate, least id first),
+:func:`mu_full_reset_reference`, the matching search as it ran when each
+root's search reset every vertex, and :func:`first_fit_cliques_reference`,
+the first-fit clique cover as it was built when each vertex tried every
+clique.
 The harness's Omega-free claim routes are held to the routes they replaced:
 :func:`distance3_omega_member_exists` scans the materialized Omega, and
 :func:`pendant_selections` lists the sets a pendant perfect matching forces.
@@ -217,6 +221,106 @@ def mu_oracle(g: Graph) -> int:
     out = best(0, 0)
     best.cache_clear()
     return out
+
+
+def first_fit_cliques_reference(cand: int, adj: tuple[int, ...], most: int = -1) -> list[int]:
+    """The first-fit clique cover of ``cand``, each vertex in id order trying
+    every clique in turn: O(n * cliques), so keep the inputs small."""
+    cliques: list[int] = []
+    for v in _bits(cand):
+        for i, c in enumerate(cliques):
+            if adj[v] & c == c:
+                cliques[i] = c | (1 << v)
+                break
+        else:
+            cliques.append(1 << v)
+            if len(cliques) == most + 1:
+                break
+    return cliques
+
+
+def mu_full_reset_reference(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
+    """mu as computed when every root's search reset the parent and base of
+    all n vertices and allocated a fresh used list: quadratic on a star, so
+    keep the inputs small."""
+    n = g.n
+    adj = [list(_bits(m)) for m in adjacency_masks(g)]
+    match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v], match[u] = u, v
+                    break
+
+    def lowest_common_base(a: int, b: int) -> int:
+        used = [False] * n
+        while True:
+            a = base[a]
+            used[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if used[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != stem:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def try_augment(root: int) -> bool:
+        for i in range(n):
+            parent[i] = -1
+            base[i] = i
+        used = [False] * n
+        used[root] = True
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    stem = lowest_common_base(v, to)
+                    in_blossom = [False] * n
+                    mark_blossom_path(v, stem, to, in_blossom)
+                    mark_blossom_path(to, stem, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = stem
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            next_u = match[pv]
+                            match[u], match[pv] = pv, u
+                            u = next_u
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1 and adj[v]:
+            try_augment(v)
+    edges = frozenset((v, match[v]) for v in range(n) if match[v] > v)
+    return len(edges), edges
 
 
 def theta_oracle(g: Graph) -> int:

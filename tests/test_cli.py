@@ -6,8 +6,8 @@ from pathlib import Path
 import squarestable
 import squarestable.invariants as invariants
 from conftest import patch_everywhere
-from named_graphs import (c4_with_two_pendants, cycle, disjoint_union, path,
-                          paw, star)
+from named_graphs import (c4_with_two_pendants, cycle, disjoint_union, empty_graph,
+                          path, paw, star)
 from squarestable.cli import cli_main
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.graphs import square
@@ -15,10 +15,16 @@ from squarestable.invariants import invariant_report
 from squarestable.recognizers import recognize
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=None):
+    """Run the command line in its own interpreter, in development mode with
+    warnings as errors.  A warning raised as an error ends the command with
+    a traceback; one Python can only print (a file left open, found by the
+    collector) lands on stderr.  So a command that does not exit 2, the
+    usage code, must leave stderr empty."""
     proc = subprocess.run(
-        [sys.executable, "-m", "squarestable.cli", *args],
-        input=stdin, capture_output=True, text=True)
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "squarestable.cli", *args],
+        input=stdin, capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 2 or proc.stderr == "", (args, proc.stderr)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -93,14 +99,66 @@ def test_analyze_edgelist_input():
 def test_analyze_edgelist_from_file(tmp_path):
     src = tmp_path / "p4.txt"
     src.write_text("4 3\n0 1\n1 2\n2 3\n")
-    # development mode reports a file handle left open as a ResourceWarning
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-m", "squarestable.cli", "analyze",
-         "--format", "edgelist", "--input", str(src)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["graph6"] == "Ch"
-    assert proc.stderr == ""
+    code, out, _ = run_cli(["analyze", "--format", "edgelist", "--input", str(src)])
+    assert code == 0
+    assert json.loads(out)["graph6"] == "Ch"
+
+
+def edge_list(g) -> str:
+    """The ``analyze --format edgelist`` text of ``g``."""
+    edges = sorted(g.edges)
+    return "".join(f"{u} {v}\n" for u, v in [(g.n, len(edges)), *edges])
+
+
+def test_analyze_time_cap_ends_the_record_in_alpha(tmp_path):
+    # alpha cannot decide C1501 + 20 C5 within 1 s; the budget is checked at
+    # every node, so the cap ends the run well inside 5 s, exit 3, with an
+    # error record naming alpha
+    src = tmp_path / "slow.txt"
+    src.write_text(edge_list(disjoint_union(cycle(1501), *[cycle(5)] * 20)))
+    code, out, _ = run_cli(["analyze", "--format", "edgelist", "--budget-seconds", "1",
+                            "--input", str(src)], timeout=5)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("alpha: search budget exhausted")
+
+
+def test_analyze_solves_domination_one_component_at_a_time(tmp_path):
+    # gamma and ind_dom solve P1500 + C5 as 500 + 2, and girth peels the
+    # path away: the record is whole
+    src = tmp_path / "union.txt"
+    src.write_text(edge_list(disjoint_union(path(1500), cycle(5))))
+    code, out, _ = run_cli(["analyze", "--format", "edgelist", "--input", str(src)],
+                           timeout=20)
+    assert code == 0
+    values = json.loads(out)["invariants"]
+    assert (values["gamma"], values["ind_dom"], values["girth"]) == (502, 502, 5)
+
+
+def test_analyze_ends_within_the_time_cap_on_large_sparse_graphs(tmp_path):
+    # mu, theta's first-fit cover and girth run under no budget, so each
+    # must stay near-linear: at a 1 s cap both records end in seconds, whole
+    # but for well-coveredness, which runs out (exit 3)
+    src = tmp_path / "big.txt"
+    for g, theta in ((empty_graph(16_000), 16_000), (star(15_999), 15_999)):
+        src.write_text(edge_list(g))
+        code, out, _ = run_cli(["analyze", "--format", "edgelist", "--budget-seconds", "1",
+                                "--input", str(src)], timeout=10)
+        assert code == 3
+        record = json.loads(out)
+        assert record["invariants"]["theta"] == theta
+        assert record["profile"]["well_covered"] is None
+
+
+def test_recognize_decides_every_graph_on_five_vertices(tmp_path):
+    # recognize decides square stability from the square's alpha on every
+    # graph, a pendant perfect matching or not
+    code, out, _ = run_cli(["generate", "--family", "exhaustive:5"])
+    assert code == 0
+    src = tmp_path / "ex5.g6"
+    src.write_text(out)
+    code, records, _ = run_cli(["recognize", "--input", str(src)])
+    assert code == 0
+    assert [json.loads(r)["graph6"] for r in records.splitlines()] == out.splitlines()
 
 
 def test_generate_deterministic_and_counted():
@@ -148,6 +206,16 @@ def test_verify_controls_exit_zero():
     assert code == 0
     verdicts = [json.loads(line) for line in out.strip().splitlines()]
     assert len(verdicts) == 4 and all(v["passed"] for v in verdicts)
+    # two controls scan one batch in-process and two start a pool
+    assert run_cli(["verify", "--theorem", "controls", "--jobs", "2"]) == (code, out, "")
+
+
+def test_verify_jobs_2_prints_the_serial_bytes():
+    # exhaustive:5 is four batches, so --jobs 2 starts a pool of two workers
+    args = ["verify", "--theorem", "all", "--family", "exhaustive:5"]
+    serial = run_cli(args)
+    assert serial[0] == 0
+    assert run_cli(args + ["--jobs", "2"]) == serial
 
 
 def test_verify_budget_exhaustion_exit_3():
@@ -157,18 +225,25 @@ def test_verify_budget_exhaustion_exit_3():
     assert code == 3
     verdict = json.loads(out)
     assert verdict["skipped"] > 0 and verdict["passed"]
+    # at 6 nodes some claims skip graphs of exhaustive:4, and none fails
+    code, out, _ = run_cli([
+        "verify", "--theorem", "all", "--family", "exhaustive:4", "--budget-nodes", "6"])
+    assert code == 3
+    verdicts = [json.loads(line) for line in out.splitlines()]
+    assert all(v["passed"] for v in verdicts) and any(v["skipped"] for v in verdicts)
 
 
 def test_verify_checks_graphs_past_sixteen_vertices_in_full():
-    # 18-vertex trees: no claim materializes Omega, so none skips them
-    code, out, err = run_cli([
-        "verify", "--theorem", "all", "--family", "trees:18:10", "--seed", "2"])
-    assert code == 0, err
-    verdicts = {v["theorem"]: v for v in map(json.loads, out.splitlines())}
-    assert len(verdicts) == 12
-    assert all(v["passed"] and v["skipped"] == 0 for v in verdicts.values())
-    assert verdicts["inequality-chain"]["graphs_checked"] == 10
-    assert verdicts["square-stable-equivalences"]["graphs_checked"] == 10
+    # 18- and 20-vertex trees: no claim materializes Omega, so none skips them
+    for family, seed, count in (("trees:18:10", "2", 10), ("trees:20:300", "1", 300)):
+        code, out, err = run_cli([
+            "verify", "--theorem", "all", "--family", family, "--seed", seed])
+        assert code == 0, err
+        verdicts = {v["theorem"]: v for v in map(json.loads, out.splitlines())}
+        assert len(verdicts) == 12
+        assert all(v["passed"] and v["skipped"] == 0 for v in verdicts.values())
+        assert verdicts["inequality-chain"]["graphs_checked"] == count
+        assert verdicts["square-stable-equivalences"]["graphs_checked"] == count
 
 
 def test_verify_usage_error_exit_2():

@@ -366,6 +366,8 @@ def test_one_batch_family_starts_no_pool(monkeypatch):
 
 def test_pool_starts_no_more_workers_than_batches(monkeypatch):
     started = counted_pools(monkeypatch)
+    # so the batches, not this host's CPUs, bound the pool
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     lines = [encode_graph6(g) for g in generate(GraphFamily.exhaustive(5))]
     fam = GraphFamily.graph6_lines(lines[:3 * _BATCH_SIZE], label="three-batches")
     name = "square-stable-equivalences"
@@ -373,6 +375,40 @@ def test_pool_starts_no_more_workers_than_batches(monkeypatch):
     assert started == []
     assert run_claim(name, fam, jobs=8) == solo
     assert started == [3]
+
+
+def test_pool_starts_no_more_workers_than_usable_cpus(monkeypatch):
+    # an in-process pool records the workers it was asked for and forks none
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    lines = [encode_graph6(g) for g in generate(GraphFamily.exhaustive(5))]
+    fam = GraphFamily.graph6_lines(lines[:4 * _BATCH_SIZE], label="four-batches")
+    name = "square-stable-equivalences"
+    solo = run_claim(name, fam, jobs=1)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert run_claim(name, fam, jobs=5000) == solo
+    # without an affinity mask, the CPU count; with no count either, one
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert run_claim(name, fam, jobs=5000) == solo
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert run_claim(name, fam, jobs=5000) == solo
+    assert started == [3, 2, 1]
 
 
 def test_budget_skip_is_not_memoized():

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,10 @@ from named_graphs import (braced_ladder, complete, complete_bipartite, corona,
                           empty_graph, path, star)
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
-from squarestable.graphs import Graph, induced_subgraph, square
+from squarestable.graphs import Graph, adjacency_masks, induced_subgraph, square
 from squarestable.invariants import (DEFAULT_BUDGET, OMEGA_ENUMERATION_CAP,
-                                     BudgetExhausted, SolverBudget, _Meter,
-                                     _maximal_stable_masks, _mask_to_set,
+                                     BudgetExhausted, SolverBudget, _first_fit_cliques,
+                                     _Meter, _maximal_stable_masks, _mask_to_set,
                                      alpha, core_set, count_perfect_matchings,
                                      gamma, ind_dom, invariant_report,
                                      is_clique_partition, is_dominating_set,
@@ -86,6 +87,41 @@ def test_mu_examples():
     assert mu(diamond_with_pendant())[0] == 2
     assert mu(path(4)) == (2, frozenset({(0, 1), (2, 3)}))
     assert mu(star(5))[0] == 1
+
+
+def test_mu_matches_full_reset_reference_exhaustively():
+    for g in labeled_graphs(6):
+        for h in (g, square(g)):
+            assert mu(h) == oracles.mu_full_reset_reference(h), encode_graph6(h)
+
+
+@pytest.mark.parametrize("family", [
+    [g for n in range(7, 41, 3) for p in (0.1, 0.2, 0.3, 0.5, 0.7)
+     for g in generate(GraphFamily.gnp(n, p, 10, seed=n))],
+    [g for n in range(2, 60, 3) for g in generate(GraphFamily.random_trees(n, 20, seed=n))],
+    [corona(h) for k in range(4, 14) for h in generate(GraphFamily.gnp(k, 0.3, 10, seed=k))],
+], ids=["gnp", "trees", "coronas"])
+def test_mu_matches_full_reset_reference_on_families(family):
+    for g in family:
+        assert mu(g) == oracles.mu_full_reset_reference(g), encode_graph6(g)
+
+
+def test_mu_on_a_large_star_resets_only_what_each_search_touched():
+    # each leaf's search queues the leaf and the center's partner and labels
+    # the center; one that reset all n vertices made the star quadratic
+    code = _FIXTURES_ON_PATH + (
+        "import time\n"
+        "from named_graphs import star\n"
+        "from squarestable.invariants import mu\n"
+        "g = star(49_999)\n"
+        "t = time.monotonic()\n"
+        "print(mu(g)[0], time.monotonic() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    value, seconds = proc.stdout.split()
+    assert value == "1"
+    assert float(seconds) < 5.0, proc.stdout
 
 
 def test_theta_examples():
@@ -219,6 +255,40 @@ def test_theta_deep_and_tail_inputs():
     tail = decode_graph6("W^vVr|uN~~uV^Z}z^vqfVOn~^^~}zue~NtF~[tvjpvzmz}u")
     value, cover = theta(tail, SolverBudget(max_nodes=260))
     assert value == 5 and is_clique_partition(tail, cover) and len(cover) == 5
+
+
+def test_first_fit_cliques_match_the_scan_of_every_clique():
+    families = (labeled_graphs(6),
+                (g for n in (12, 20, 30) for p in (0.1, 0.3, 0.5, 0.8)
+                 for g in generate(GraphFamily.gnp(n, p, 10, seed=n))))
+    for g in chain.from_iterable(families):
+        for h in (g, square(g)):
+            adj = adjacency_masks(h)
+            full = (1 << h.n) - 1
+            for cand, most in ((full, -1), (full & 0x5555_5555, -1), (full, 2)):
+                assert (_first_fit_cliques(cand, adj, most)
+                        == oracles.first_fit_cliques_reference(cand, adj, most))
+
+
+@pytest.mark.parametrize("build, value", [("empty_graph(16_000)", 16_000),
+                                          ("star(15_999)", 15_999)])
+def test_theta_first_fit_cover_is_near_linear(build, value):
+    # the first-fit cover runs before theta's search, under no budget: when
+    # each vertex tried every clique it took seconds on both
+    code = _FIXTURES_ON_PATH + (
+        "import time\n"
+        "from named_graphs import empty_graph, star\n"
+        "from squarestable.invariants import SolverBudget, theta\n"
+        f"g = {build}\n"
+        "t = time.monotonic()\n"
+        "print(theta(g, SolverBudget(max_nodes=200_000, max_seconds=1))[0],\n"
+        "      time.monotonic() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    outcome, seconds = proc.stdout.split()
+    assert outcome == str(value)
+    assert float(seconds) < 1.0, proc.stdout
 
 
 @pytest.mark.parametrize("solver, build, value", [
