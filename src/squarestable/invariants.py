@@ -260,11 +260,15 @@ def _bron_kerbosch(nbr: list[int] | tuple[int, ...], full: int,
         if p == 0 and x == 0:
             yield r
         else:
+            # no vertex of p counts itself, so only one of x can reach |p|
+            cap = p.bit_count() - (0 if x else 1)
             pivot, pivot_count = -1, -1
             for u in _bits(p | x):
                 c = (p & nbr[u]).bit_count()
                 if c > pivot_count:
                     pivot, pivot_count = u, c
+                    if c == cap:
+                        break
             stack.append([r, p, x, p & ~nbr[pivot]])
         while stack:
             frame = stack[-1]
@@ -363,8 +367,9 @@ def mu(g: Graph) -> tuple[int, Matching]:
 
     Polynomial, so no budget applies; the witness is deterministic under the
     fixed ascending scan order.  Each search resets only the vertices it
-    queued or labeled, so a root whose search stays small costs little on a
-    large graph.
+    queued or labeled, and a blossom contraction marks and relabels only
+    those, so a root whose search stays small costs little on a large
+    graph.
     """
     n = g.n
     adj = [list(_bits(m)) for m in adjacency_masks(g)]
@@ -382,23 +387,23 @@ def mu(g: Graph) -> tuple[int, Matching]:
                     break
 
     def lowest_common_base(a: int, b: int) -> int:
-        used = [False] * n
+        used = set()
         while True:
             a = base[a]
-            used[a] = True
+            used.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in used:
                 return b
             b = parent[match[b]]
 
-    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_blossom_path(v: int, stem: int, child: int, in_blossom: set[int]) -> None:
         while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -419,15 +424,19 @@ def mu(g: Graph) -> tuple[int, Matching]:
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # odd cycle: contract the blossom down to its stem
                     stem = lowest_common_base(v, to)
-                    in_blossom = [False] * n
+                    in_blossom: set[int] = set()
                     mark_blossom_path(v, stem, to, in_blossom)
                     mark_blossom_path(to, stem, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    # only vertices of the search tree have a base in it;
+                    # new ones join the queue in id order
+                    fresh = []
+                    for i in chain(queue, labeled):
+                        if base[i] in in_blossom:
                             base[i] = stem
                             if not queued[i]:
                                 queued[i] = True
-                                queue.append(i)
+                                fresh.append(i)
+                    queue.extend(sorted(fresh))
                 elif parent[to] == -1:
                     parent[to] = v
                     labeled.append(to)
@@ -506,25 +515,28 @@ def _cover_search(adj: tuple[int, ...], ranks: list[int], classes: list[int],
                   common: list[int], rest: int, limit: int, stop: int,
                   meter: _Meter) -> tuple[int, list[int]] | None:
     """Extend the cliques ``classes`` (``common[i]`` masks the vertices that
-    ``classes[i]`` can absorb; both lists change in place) over ``rest`` to a
-    cover of fewer than ``limit`` cliques.  Each cover found lowers ``limit``;
-    the last one comes back, at once if it has at most ``stop`` cliques.
+    ``classes[i]`` can absorb) over ``rest`` to a cover of fewer than
+    ``limit`` cliques.  Each cover found lowers ``limit``; the last one comes
+    back, at once if it has at most ``stop`` cliques.
 
-    DSATUR: a node branches on the rest vertex the fewest classes can absorb,
-    into each such class in order, then into one fresh class.  Ties go, among
-    vertices no class can absorb, to the least degree (``ranks[d]`` masks
-    degree d), else to the most non-neighbors in ``rest``; then to the least
-    id.  A node is dead once its classes plus a greedy stable set of the
-    vertices no class can absorb reach ``limit``; a fresh class that would
-    reach it is not opened."""
+    DSATUR: a node branches on a rest vertex that the fewest classes can
+    absorb (none, one, two, or three and more), into each such class in
+    order, then into one fresh class.  Ties go, among vertices no class can
+    absorb, to the least degree (``ranks[d]`` masks degree d), else to the
+    most non-neighbors in ``rest``; then to the least id.  A node is dead
+    once its classes plus a greedy stable set of the vertices no class can
+    absorb reach ``limit``; a fresh class that would reach it is not opened.
+    Each open node holds its own lists, and a child gets copies with its
+    vertex placed, so the arguments never change."""
     best = None
     # open nodes: [vertex bit, its neighbors, rest, bound, untried children
-    # (next last; -1 is a fresh class), child applied, its class's common before]
+    # (next last; -1 is a fresh class), classes, common]
     stack: list[list] = []
     while True:
         meter.tick()
-        one = two = 0  # the vertices at least one, two classes can absorb
+        one = two = three = 0  # the vertices at least one, two, three classes can absorb
         for c in common:
+            three |= two & c
             two |= one & c
             one |= c
         free = rest & ~one
@@ -532,58 +544,42 @@ def _cover_search(adj: tuple[int, ...], ranks: list[int], classes: list[int],
         bound = k + _greedy_stable_size(free, adj) if free else k
         if bound < limit:
             if not rest:
-                best = (k, list(classes))
+                best = (k, classes)
                 limit = k
                 if k <= stop:
                     return best
-            elif free:
-                for r in ranks:
-                    if free & r:
-                        break
-                bit = free & r & -(free & r)
-                stack.append([bit, adj[bit.bit_length() - 1], rest, bound, [-1], -2, 0])
             else:
-                pick = rest & ~two
-                if not pick:
-                    ge = [rest] + [0] * (k + 1)  # ge[j]: absorbed by >= j classes
-                    for c in common:
-                        for j in range(k, 0, -1):
-                            ge[j] |= ge[j - 1] & c
-                    j = 2
-                    while not pick:
-                        j += 1
-                        pick = ge[j - 1] & ~ge[j]
-                most = -1
-                while pick:
-                    low = pick & -pick
-                    pick ^= low
-                    far = (rest & ~adj[low.bit_length() - 1]).bit_count()
-                    if far > most:
-                        bit, most = low, far
-                kids = [-1] + [i for i in range(k - 1, -1, -1) if common[i] & bit]
-                stack.append([bit, adj[bit.bit_length() - 1], rest, bound, kids, -2, 0])
+                if free:
+                    for r in ranks:
+                        if free & r:
+                            break
+                    bit = free & r & -(free & r)
+                    kids = [-1]
+                else:
+                    pick = rest & ~two or rest & ~three or rest
+                    most = -1
+                    while pick:
+                        low = pick & -pick
+                        pick ^= low
+                        far = (rest & ~adj[low.bit_length() - 1]).bit_count()
+                        if far > most:
+                            bit, most = low, far
+                    kids = [-1] + [i for i in range(k - 1, -1, -1) if common[i] & bit]
+                stack.append([bit, adj[bit.bit_length() - 1], rest, bound, kids,
+                              classes, common])
         while stack:
-            frame = stack[-1]
-            bit, nbr, node_rest, node_bound, kids, i, saved = frame
-            if i >= 0:
-                classes[i] ^= bit
-                common[i] = saved
-            elif i == -1:
-                classes.pop()
-                common.pop()
+            bit, nbr, node_rest, node_bound, kids, classes, common = stack[-1]
             if kids and node_bound < limit:
                 i = kids.pop()
                 if i >= 0:
-                    frame[6] = common[i]
+                    classes, common = classes[:], common[:]
                     classes[i] |= bit
                     common[i] &= nbr
                 elif len(classes) + 1 < limit:
-                    classes.append(bit)
-                    common.append(nbr)
+                    classes, common = classes + [bit], common + [nbr]
                 else:
                     stack.pop()
                     continue
-                frame[5] = i
                 rest = node_rest ^ bit
                 break
             stack.pop()

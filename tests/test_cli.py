@@ -136,17 +136,21 @@ def test_analyze_solves_domination_one_component_at_a_time(tmp_path):
 
 def test_analyze_ends_within_the_time_cap_on_large_sparse_graphs(tmp_path):
     # mu, theta's first-fit cover and girth run under no budget, so each
-    # must stay near-linear: at a 1 s cap both records end in seconds, whole
-    # but for well-coveredness, which runs out (exit 3)
+    # must stay near-linear, and well-coveredness's Bron-Kerbosch stops each
+    # pivot scan at the first vertex no later one can beat: at a 1 s cap
+    # every record ends in seconds, whole (exit 0)
     src = tmp_path / "big.txt"
-    for g, theta in ((empty_graph(16_000), 16_000), (star(15_999), 15_999)):
+    for g, theta, well_covered in ((empty_graph(16_000), 16_000, True),
+                                   (star(15_999), 15_999, False)):
         src.write_text(edge_list(g))
-        code, out, _ = run_cli(["analyze", "--format", "edgelist", "--budget-seconds", "1",
-                                "--input", str(src)], timeout=10)
-        assert code == 3
-        record = json.loads(out)
-        assert record["invariants"]["theta"] == theta
-        assert record["profile"]["well_covered"] is None
+        for command in ("analyze", "recognize"):
+            code, out, _ = run_cli([command, "--format", "edgelist", "--budget-seconds", "1",
+                                    "--input", str(src)], timeout=10)
+            assert code == 0, command
+            record = json.loads(out)
+            assert record["profile"]["well_covered"] is well_covered
+            if command == "analyze":
+                assert record["invariants"]["theta"] == theta
 
 
 def test_recognize_decides_every_graph_on_five_vertices(tmp_path):

@@ -12,6 +12,7 @@ from conftest import graphs, labeled_graphs
 from named_graphs import (braced_ladder, complete, complete_bipartite, corona,
                           cycle, diamond_with_pendant, disjoint_union,
                           empty_graph, path, star)
+import squarestable.invariants as invariants
 from squarestable.codec import decode_graph6, encode_graph6
 from squarestable.families import GraphFamily, generate
 from squarestable.graphs import Graph, adjacency_masks, induced_subgraph, square
@@ -122,6 +123,24 @@ def test_mu_on_a_large_star_resets_only_what_each_search_touched():
     value, seconds = proc.stdout.split()
     assert value == "1"
     assert float(seconds) < 5.0, proc.stdout
+
+
+def test_mu_on_many_triangles_contracts_only_the_search_tree():
+    # each triangle is one blossom; a contraction that marked or scanned all
+    # n vertices made 6,000 disjoint triangles take seconds
+    code = _FIXTURES_ON_PATH + (
+        "import time\n"
+        "from named_graphs import cycle, disjoint_union\n"
+        "from squarestable.invariants import mu\n"
+        "g = disjoint_union(*[cycle(3)] * 6000)\n"
+        "t = time.monotonic()\n"
+        "print(mu(g)[0], time.monotonic() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    value, seconds = proc.stdout.split()
+    assert value == "6000"
+    assert float(seconds) < 1.0, proc.stdout
 
 
 def test_theta_examples():
@@ -255,6 +274,27 @@ def test_theta_deep_and_tail_inputs():
     tail = decode_graph6("W^vVr|uN~~uV^Z}z^vqfVOn~^^~}zue~NtF~[tvjpvzmz}u")
     value, cover = theta(tail, SolverBudget(max_nodes=260))
     assert value == 5 and is_clique_partition(tail, cover) and len(cover) == 5
+
+
+def test_cover_search_leaves_its_arguments_unchanged(monkeypatch):
+    # theta's witness fix hands the search the classes of a partial cover;
+    # each search node extends copies, never the lists it was given
+    search = invariants._cover_search
+    calls = []
+
+    def checked(adj, ranks, classes, common, *args):
+        before = (classes[:], common[:])
+        found = search(adj, ranks, classes, common, *args)
+        calls.append((before, (classes, common), found))
+        return found
+
+    monkeypatch.setattr(invariants, "_cover_search", checked)
+    for text in ("EtQ?", "W^vVr|uN~~uV^Z}z^vqfVOn~^^~}zue~NtF~[tvjpvzmz}u"):
+        calls.clear()
+        theta(decode_graph6(text))
+        assert any(before[0] and found for before, _, found in calls), text
+        for before, after, _ in calls:
+            assert after == before, text
 
 
 def test_first_fit_cliques_match_the_scan_of_every_clique():
