@@ -14,8 +14,9 @@ from typing import Iterable, Iterator
 from .graphs import Graph, _bits, adjacency_masks
 
 _MAX_N = (1 << 36) - 1
-#: Edge-list order cap (graph6's 4-byte maximum): no unbounded allocation.
-_MAX_EDGE_LIST_N = 258047
+#: Order cap of the edge-list reader and the generated families (graph6's
+#: 4-byte maximum): no unbounded allocation.
+_MAX_ORDER = 258047
 _BASE64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
@@ -132,8 +133,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("line 1: header fields must be integers") from None
-    if not 0 <= n <= _MAX_EDGE_LIST_N:
-        raise ValueError(f"line 1: order {n} outside 0..{_MAX_EDGE_LIST_N}")
+    if not 0 <= n <= _MAX_ORDER:
+        raise ValueError(f"line 1: order {n} outside 0..{_MAX_ORDER}")
     if m < 0:
         raise ValueError(f"line 1: negative edge count {m}")
     edges = set()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .codec import decode_graph6, graph6_strings
+from .codec import _MAX_ORDER, decode_graph6, graph6_strings
 from .graphs import Graph, is_connected
 
 
@@ -100,8 +100,8 @@ class GraphFamily:
     def validate(self) -> None:
         if self.kind not in ("exhaustive", "gnp", "trees", "trees-all", "graph6"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "graph6" and self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if self.kind != "graph6" and not 0 <= self.n <= _MAX_ORDER:
+            raise ValueError(f"vertex count {self.n} outside 0..{_MAX_ORDER}")
         if self.kind == "gnp" and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability {self.p} outside [0, 1]")
         if self.kind in ("gnp", "trees") and self.count < 0:
@@ -121,15 +121,30 @@ def generate(family: GraphFamily) -> Iterator[Graph]:
 
 def _raw_stream(family: GraphFamily) -> Iterator[Graph]:
     if family.kind == "exhaustive":
-        pairs = list(combinations(range(family.n), 2))
-        for mask in range(1 << len(pairs)):
+        # bit i of the mask is the i-th pair; pairs are listed only as far as
+        # the masks reach, so a large n costs nothing before its first graph
+        pairs: list[tuple[int, int]] = []
+        more = combinations(range(family.n), 2)
+        mask = 0
+        while True:
             yield Graph(
                 family.n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+            mask += 1
+            if mask >> len(pairs):
+                pair = next(more, None)
+                if pair is None:
+                    return
+                pairs.append(pair)
     elif family.kind == "gnp":
+        # one draw per pair, in pair order; no pair list is kept
         rng = random.Random(family.seed)
-        pairs = list(combinations(range(family.n), 2))
         for _ in range(family.count):
-            yield Graph(family.n, (e for e in pairs if rng.random() < family.p))
+            masks = [0] * family.n
+            for u, v in combinations(range(family.n), 2):
+                if rng.random() < family.p:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            yield Graph._from_masks(masks)
     elif family.kind == "trees":
         rng = random.Random(family.seed)
         for _ in range(family.count):

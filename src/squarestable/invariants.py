@@ -650,38 +650,38 @@ def theta(g: Graph, budget: SolverBudget = DEFAULT_BUDGET) -> tuple[int, tuple[V
 # domination
 
 
-def _dominating_search(closed: list[int], full: int, max_cover: int, stable: bool,
-                       meter: _Meter, forced: int = 0, candidates_from: int = 0,
+def _dominating_search(closed: list[int], full: int, allowed: int, max_cover: int,
+                       stable: bool, meter: _Meter, forced: int = 0,
                        stop_at: int | None = None) -> tuple[int, int] | None:
     """Minimum size of a dominating set containing ``forced`` whose further
-    members all have id >= candidates_from, with one such set as a mask; with
+    members all lie in ``allowed``, with one such set as a mask; with
     ``stable``, of a maximal stable set containing the stable set ``forced``.
     ``stop_at`` turns the search into a feasibility test: return the first
     set of at most that size.
 
     Domination is set cover: every dominating set covers each undominated u
     with a member of N[u].  A node branches on the undominated u with the
-    fewest candidates (ties to the least id): the members of N[u] not banned
-    and, with ``stable``, still undominated.  An undominated vertex is
-    adjacent to no chosen one, so then the chosen set stays stable, and a
-    stable dominating set is a maximal stable set.  No candidate is a dead
-    node; one is a forced choice.  Without ``stable``, a candidate whose
+    fewest candidates (ties to the least id): the members of N[u] in
+    ``allowed`` and, with ``stable``, still undominated.  An undominated
+    vertex is adjacent to no chosen one, so then the chosen set stays stable,
+    and a stable dominating set is a maximal stable set.  No candidate is a
+    dead node; one is a forced choice.  Without ``stable``, a candidate whose
     coverage of the undominated vertices lies inside another candidate's is
     dropped (on equal coverage the least id stays): swapping it for the other,
-    which is not banned either, covers as much at the same size.  That swap
+    which is in ``allowed`` too, covers as much at the same size.  That swap
     can break stability, so ``ind_dom`` keeps every candidate.  The branch for
-    v takes the sets containing v and none of the earlier siblings, so no set
-    is reached twice.  Candidates are tried largest coverage first (ties by
-    id), so the first dive is the greedy cover.  The search runs depth-first
-    on an explicit stack and stops expanding a node once its cover bound
+    v takes the sets containing v and none of the earlier siblings: each
+    sibling leaves ``allowed`` for the later branches, so no set is reached
+    twice.  Candidates are tried largest coverage first (ties by id), so the
+    first dive is the greedy cover.  The search runs depth-first on an
+    explicit stack and stops expanding a node once its cover bound
     ⌈undominated / max |N[v]|⌉ meets the incumbent."""
     dominated = 0
     for v in _bits(forced):
         dominated |= closed[v]
     chosen, count = forced, forced.bit_count()
-    banned = ((1 << candidates_from) - 1) | forced
     best: tuple[int, int] | None = None
-    # open nodes: [dominated, chosen, count, bound, banned, untried candidates
+    # open nodes: [dominated, chosen, count, bound, allowed, untried candidates
     # with the next one last]
     stack: list[list] = []
     while True:
@@ -697,13 +697,13 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
             lower = count + -(-und.bit_count() // max_cover)
             if ((best is None or lower < best[0])
                     and (stop_at is None or lower <= stop_at)):
-                allowed = (und if stable else full) & ~banned
+                within = und & allowed if stable else allowed
                 # the undominated vertex with the fewest candidates; with none
                 # the node is dead
                 cands, fewest = 0, max_cover + 1
                 for u in range((und & -und).bit_length() - 1, und.bit_length()):
                     if und >> u & 1:
-                        c = closed[u] & allowed
+                        c = closed[u] & within
                         k = c.bit_count()
                         if k < fewest:
                             cands, fewest = c, k
@@ -722,10 +722,9 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
                         pick = b
                     else:
                         if cb.bit_count() > ca.bit_count():
-                            a, b, ca = b, a, cb
+                            a, b = b, a
                         pick = a
-                        if ca != und:
-                            stack.append([dominated, chosen, count, lower, banned | 1 << a, [b]])
+                        stack.append([dominated, chosen, count, lower, allowed & ~(1 << a), [b]])
                 elif fewest:
                     order = []
                     rest = cands
@@ -733,11 +732,6 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
                         low = rest & -rest
                         v = low.bit_length() - 1
                         c = closed[v] & und
-                        if c == und:
-                            # the first child then meets this node's bound,
-                            # so no sibling would be tried
-                            order = [(0, v, c)]
-                            break
                         order.append((-c.bit_count(), v, c))
                         rest ^= low
                     order.sort()
@@ -758,7 +752,7 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
                                 todo.append(v)
                         todo.reverse()
                     if todo:
-                        stack.append([dominated, chosen, count, lower, banned | 1 << pick, todo])
+                        stack.append([dominated, chosen, count, lower, allowed & ~(1 << pick), todo])
         if pick >= 0:
             dominated |= closed[pick]
             chosen |= 1 << pick
@@ -769,9 +763,9 @@ def _dominating_search(closed: list[int], full: int, max_cover: int, stable: boo
             if best is None or frame[3] < best[0]:
                 todo = frame[5]
                 pick = todo.pop()
-                banned = frame[4]
+                allowed = frame[4]
                 if todo:
-                    frame[4] = banned | 1 << pick
+                    frame[4] = allowed & ~(1 << pick)
                 else:
                     stack.pop()
                 dominated = frame[0] | closed[pick]
@@ -804,15 +798,14 @@ def _least_dominating_set(g: Graph, budget: SolverBudget,
         full = _reach(adjm, rest & -rest)
         rest &= ~full
         max_cover = max(closed[v].bit_count() for v in _bits(full))
-        found = _dominating_search(closed, full, max_cover, stable, meter)
+        found = _dominating_search(closed, full, full, max_cover, stable, meter)
         assert found is not None
         size, known = found
 
         def complete(chosen: int, bit: int, allowed: int) -> int | None:
-            found = _dominating_search(closed, full, max_cover, stable, meter,
-                                       forced=chosen | bit, candidates_from=bit.bit_length(),
-                                       stop_at=size)
-            return found[1] if found is not None and found[0] <= size else None
+            found = _dominating_search(closed, full, allowed, max_cover, stable, meter,
+                                       forced=chosen | bit, stop_at=size)
+            return None if found is None else found[1]
 
         # with ``stable``, a vertex adjacent to a member cannot join the set
         witness |= _fix_least(size, known, full, closed if stable else None, complete)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import squarestable
 import squarestable.invariants as invariants
 from conftest import patch_everywhere
@@ -274,6 +276,21 @@ def test_bad_graph6_input_exit_2():
 def test_unknown_family_exit_2():
     code, _, err = run_cli(["generate", "--family", "mystery:9"])
     assert code == 2
+
+
+def test_family_order_above_the_cap_exit_2():
+    from squarestable.families import parse_family_spec
+
+    spec = "gnp:1000000000:0.0:1"
+    # a build without the cap would allocate n masks, so check it first
+    with pytest.raises(ValueError):
+        parse_family_spec(spec).validate()
+    for args in (["generate", "--family", spec],
+                 ["verify", "--theorem", "inequality-chain", "--family", spec],
+                 ["verify", "--theorem", "all", "--family", spec, "--jobs", "2"]):
+        code, out, err = run_cli(args)
+        assert code == 2 and out == "", args
+        assert err == "error: vertex count 1000000000 outside 0..258047\n", args
 
 
 def test_cli_main_in_process(capsys):

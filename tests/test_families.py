@@ -1,10 +1,14 @@
+import random
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
 from named_graphs import path
 from squarestable.codec import encode_graph6
 from squarestable.families import (GraphFamily, generate, parse_family_spec,
                                    tree_from_pruefer)
-from squarestable.graphs import is_connected, is_tree
+from squarestable.graphs import Graph, is_connected, is_tree
 
 
 def test_exhaustive_counts():
@@ -75,6 +79,36 @@ def test_family_validation_errors():
         list(generate(GraphFamily(kind="nonsense")))
     with pytest.raises(ValueError):
         list(generate(GraphFamily.random_trees(0, 3, seed=1)))
+
+
+def test_first_graph_of_a_large_family_lists_no_pairs():
+    # the n(n-1)/2 pair tuples of n = 2000 take about 130 MB
+    for fam in (GraphFamily.gnp(2000, 0.0, 1, 0), GraphFamily.exhaustive(2000)):
+        tracemalloc.start()
+        try:
+            g = next(generate(fam))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2000 and not g.edges
+        assert peak < 10_000_000, (fam.describe(), peak)
+
+
+def test_gnp_draws_once_per_pair_in_pair_order():
+    for n, p, seed in ((0, 0.5, 1), (1, 0.5, 1), (7, 0.3, 5), (12, 0.8, 9)):
+        rng = random.Random(seed)
+        want = [Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+                for _ in range(4)]
+        assert list(generate(GraphFamily.gnp(n, p, 4, seed))) == want
+
+
+def test_family_order_is_capped():
+    # the edge-list reader's cap; validate() runs before anything is built
+    for spec in ("exhaustive:258048", "gnp:1000000000:0.0:1", "trees:258048:1",
+                 "trees-all:258048"):
+        with pytest.raises(ValueError, match="outside 0..258047"):
+            parse_family_spec(spec).validate()
+    parse_family_spec("exhaustive:258047").validate()
 
 
 def test_parse_family_spec():

@@ -395,6 +395,69 @@ def _domination_matches_reference(g):
     assert ind_dom(g) == oracles.least_dominating_set_reference(g, stable=True), g
 
 
+def test_dominating_search_keeps_its_members_in_allowed():
+    # the fix pass hands each feasibility search the vertices it may still
+    # use; the search's value must be the least over exactly those sets
+    for g in labeled_graphs(4):
+        if not g.n:
+            continue
+        adj = adjacency_masks(g)
+        closed = [adj[v] | 1 << v for v in range(g.n)]
+        full = (1 << g.n) - 1
+        max_cover = max(c.bit_count() for c in closed)
+        for stable in (False, True):
+            for allowed in range(full + 1):
+                sizes = [s.bit_count() for s in range(full + 1)
+                         if not s & ~allowed and is_dominating_set(g, _mask_to_set(s))
+                         and (not stable or is_stable_set(g, _mask_to_set(s)))]
+                found = invariants._dominating_search(
+                    closed, full, allowed, max_cover, stable, _Meter("gamma", DEFAULT_BUDGET))
+                if not sizes:
+                    assert found is None, (g, stable, allowed)
+                    continue
+                assert found is not None, (g, stable, allowed)
+                size, chosen = found
+                assert not chosen & ~allowed and chosen.bit_count() == size, (g, stable, allowed)
+                assert is_dominating_set(g, _mask_to_set(chosen)), (g, stable, allowed)
+                assert not stable or is_stable_set(g, _mask_to_set(chosen)), (g, allowed)
+                assert size == min(sizes), (g, stable, allowed)
+
+
+def test_fix_pass_searches_stay_inside_allowed(monkeypatch):
+    # each feasibility test of the fix pass searches only the vertices the
+    # pass hands it: alpha's as the universe, gamma's and i's as ``allowed``.
+    # Searching more returns the same witnesses, in more nodes.
+    handed, searched = [], []
+    fix_least = invariants._fix_least
+
+    def fix(value, known, full, block, complete):
+        def test(chosen, bit, allowed):
+            handed.append(allowed)
+            try:
+                return complete(chosen, bit, allowed)
+            finally:
+                handed.pop()
+        return fix_least(value, known, full, block, test)
+
+    def inside(search, position):
+        def spy(*args, **kwargs):
+            if handed:
+                searched.append(search.__name__)
+                assert not args[position] & ~handed[-1], (search.__name__, args)
+            return search(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(invariants, "_fix_least", fix)
+    monkeypatch.setattr(invariants, "_stable_search", inside(invariants._stable_search, 1))
+    monkeypatch.setattr(invariants, "_dominating_search",
+                        inside(invariants._dominating_search, 2))
+    for g in labeled_graphs(5):
+        if g.n:
+            for solver in (alpha, gamma, ind_dom):
+                solver(g)
+    assert {"_stable_search", "_dominating_search"} <= set(searched)
+
+
 def test_domination_matches_reference_search_exhaustively():
     for g in labeled_graphs(6):
         if g.n:
